@@ -22,6 +22,23 @@ double BinLoad(double count, double uniform, double heavy_factor) {
   return count + excess * excess / std::max(1.0, uniform);
 }
 
+/// Charges the scheduler work of one rebalance exchange (inside an open
+/// phase): one statistics packet gathered from each join site, then the
+/// decision (override table, or the empty keep-static verdict) goes
+/// back to every join site and producing site — in pieces when the
+/// table exceeds one packet, like any split-table broadcast.
+void ChargeRebalance(sim::Machine& machine, int num_join_sites,
+                     int num_producers, uint64_t plan_bytes) {
+  const sim::CostModel& cost = machine.cost();
+  const int packets = std::max(1, cost.SplitTablePackets(plan_bytes));
+  const int64_t messages =
+      num_join_sites +
+      static_cast<int64_t>(num_join_sites + num_producers) * packets;
+  machine.ChargeScheduler(
+      static_cast<double>(messages) * cost.sched_control_message_seconds,
+      messages);
+}
+
 }  // namespace
 
 uint64_t RebalancePlan::SerializedBytes() const {
@@ -207,20 +224,49 @@ RebalancePlan ComputeRebalancePlan(
   return plan;
 }
 
-void ChargeRebalance(sim::Machine& machine, int num_join_sites,
-                     int num_producers, uint64_t plan_bytes) {
-  const sim::CostModel& cost = machine.cost();
-  // One statistics packet gathered from each join site, then the
-  // decision (override table, or the empty keep-static verdict) goes
-  // back to every join site and producing site — in pieces when the
-  // table exceeds one packet, like any split-table broadcast.
-  const int packets = std::max(1, cost.SplitTablePackets(plan_bytes));
-  const int64_t messages =
-      num_join_sites +
-      static_cast<int64_t>(num_join_sites + num_producers) * packets;
-  machine.ChargeScheduler(
-      static_cast<double>(messages) * cost.sched_control_message_seconds,
-      messages);
+void Rebalancer::Reset() {
+  plan_ = RebalancePlan{};
+  cursors_.clear();
+}
+
+bool Rebalancer::Decide(sim::Machine& machine,
+                        const std::vector<int>& process_nodes,
+                        const std::vector<const HashHistogram*>& histograms,
+                        size_t num_producers, uint64_t bytes_per_tuple,
+                        uint64_t capacity_bytes_per_process,
+                        const RebalanceOptions& options, bool keep_static) {
+  GAMMA_CHECK_EQ(process_nodes.size(), histograms.size());
+  Reset();
+  const size_t num_processes = process_nodes.size();
+  // Processes grouped by node: a node may host several.
+  std::vector<int> nodes = process_nodes;
+  std::sort(nodes.begin(), nodes.end());
+  nodes.erase(std::unique(nodes.begin(), nodes.end()), nodes.end());
+  std::vector<std::vector<uint64_t>> counts(num_processes);
+  machine.RunOnNodes(nodes, [&](sim::Node& n) {
+    for (size_t p = 0; p < num_processes; ++p) {
+      if (process_nodes[p] != n.id()) continue;
+      const HashHistogram& h = *histograms[p];
+      counts[p].resize(h.num_bins());
+      for (uint32_t b = 0; b < h.num_bins(); ++b) counts[p][b] = h.bin_count(b);
+      n.ChargeCpu(
+          static_cast<double>(h.num_bins()) * n.cost().cpu_compare_seconds,
+          sim::CostCategory::kCompare);
+    }
+  });
+  if (!keep_static) {
+    plan_ = ComputeRebalancePlan(counts, bytes_per_tuple,
+                                 capacity_bytes_per_process, options);
+  }
+  ChargeRebalance(machine, static_cast<int>(num_processes),
+                  static_cast<int>(num_producers), plan_.SerializedBytes());
+  if (!plan_.active) return false;
+  ++machine.node(process_nodes[0]).counters().rebalance_plans;
+  cursors_.resize(num_producers);
+  for (size_t p = 0; p < num_producers; ++p) {
+    cursors_[p].assign(plan_.num_bins, static_cast<uint32_t>(p));
+  }
+  return true;
 }
 
 }  // namespace gammadb::db

@@ -16,13 +16,22 @@
 // Only heavy bins are overridden: the balanced bulk keeps the static
 // (hash mod J) route, which keeps both the migration volume and the
 // serialized override table small.
+//
+// Every join engine runs the same stage (Rebalancer, below): gather the
+// histograms, decide and charge the plan, then answer the two routing
+// questions the plan raises — where a migrating resident goes, and
+// which replica an outer tuple of an overridden bin probes. An engine
+// supplies only its migration source and sink (the hash engines move
+// hash-table residents; sort-merge rewrites its redistributed R').
 #ifndef GAMMA_GAMMA_REBALANCE_H_
 #define GAMMA_GAMMA_REBALANCE_H_
 
 #include <cstdint>
 #include <vector>
 
+#include "common/histogram.h"
 #include "sim/machine.h"
+#include "sim/node.h"
 
 namespace gammadb::db {
 
@@ -95,12 +104,62 @@ RebalancePlan ComputeRebalancePlan(
     uint64_t bytes_per_tuple, uint64_t capacity_bytes_per_process,
     const RebalanceOptions& options);
 
-/// Charges the scheduler work of one rebalance exchange: one statistics
-/// packet gathered from each join site, plus the override-table
-/// broadcast to every join site and producing site (packetized like a
-/// split table). Must be called inside an open machine phase.
-void ChargeRebalance(sim::Machine& machine, int num_join_sites,
-                     int num_producers, uint64_t plan_bytes);
+/// The adaptive-repartitioning stage shared by all four join engines.
+/// Not thread-safe to Decide/Reset; the per-producer cursors make
+/// ProbeDestination safe from concurrent producer tasks.
+class Rebalancer {
+ public:
+  /// Back to the static route: no plan, no cursors.
+  void Reset();
+
+  /// Runs inside an open phase. The node of each join process p
+  /// (`process_nodes[p]`) scans `histograms[p]`, the resident
+  /// histogram of its building relation, charging one compare per bin,
+  /// and ships the counts to the scheduler, which computes a plan
+  /// (ComputeRebalancePlan) unless `keep_static` and broadcasts the
+  /// verdict to the processes and `num_producers` producers. An active
+  /// plan counts one rebalance_plans on the first process's node and
+  /// seeds each producer's round-robin cursors with its index, so
+  /// routing is identical at any thread count. Returns whether a plan
+  /// is active.
+  bool Decide(sim::Machine& machine, const std::vector<int>& process_nodes,
+              const std::vector<const HashHistogram*>& histograms,
+              size_t num_producers, uint64_t bytes_per_tuple,
+              uint64_t capacity_bytes_per_process,
+              const RebalanceOptions& options, bool keep_static);
+
+  const RebalancePlan& plan() const { return plan_; }
+
+  /// Migration side: the destination processes of a resident with
+  /// `hash` (a copy goes to each), or nullptr when it stays put. Books
+  /// the moved and replica counters on `n`, the migrating node.
+  const std::vector<int>* MigrationDestinations(sim::Node& n,
+                                                uint64_t hash) const {
+    const std::vector<int>* dests = plan_.DestinationsFor(hash);
+    if (dests != nullptr) {
+      ++n.counters().rebalance_moved_tuples;
+      n.counters().rebalance_replica_tuples +=
+          static_cast<int64_t>(dests->size()) - 1;
+    }
+    return dests;
+  }
+
+  /// Probe side: the process an outer tuple with `hash` goes to when its
+  /// bin is overridden, or -1 when the static route applies. A
+  /// replicated bin's tuples go to exactly ONE destination each, chosen
+  /// by producer `producer`'s per-bin round-robin cursor, so the probes
+  /// spread evenly and every result pair is still produced exactly once.
+  int ProbeDestination(size_t producer, uint64_t hash) {
+    const std::vector<int>* dests = plan_.DestinationsFor(hash);
+    if (dests == nullptr) return -1;
+    uint32_t& cursor = cursors_[producer][plan_.BinOf(hash)];
+    return (*dests)[cursor++ % dests->size()];
+  }
+
+ private:
+  RebalancePlan plan_;
+  std::vector<std::vector<uint32_t>> cursors_;  // [producer][bin]
+};
 
 }  // namespace gammadb::db
 

@@ -144,8 +144,7 @@ std::vector<int> HashJoinEngine::Participants(bool with_disk_nodes) const {
 
 void HashJoinEngine::StartSubJoin() {
   filter_.reset();
-  rebalance_plan_ = db::RebalancePlan{};
-  rebalance_rr_.clear();
+  rebalancer_.Reset();
   build_finalize_deferred_ = false;
   for (size_t ji = 0; ji < jstate_.size(); ++ji) {
     JoinNodeState& st = jstate_[ji];
@@ -182,12 +181,11 @@ void HashJoinEngine::SpoolToOverflow(sim::Node& from, size_t ji,
   // (Outer overflow files are pre-created before the probe phase so that
   // concurrent producers never race on creation.)
   const uint32_t bytes = t.size();
-  // Broker ledger: bytes leaving the join process's memory for its
-  // overflow file, booked against the process's node. Accounting only —
-  // the write itself is charged by the disk-side drain.
-  if (config_.broker != nullptr) {
-    config_.broker->NoteSpill(config_.join_nodes[ji], bytes);
-  }
+  // Broker ledger: bytes leaving for an overflow file, booked on the
+  // spooling task's own node (for an outer-side spool that is the
+  // producer, which must not touch the join node's entry). Accounting
+  // only — the write itself is charged by the disk-side drain.
+  if (config_.broker != nullptr) config_.broker->NoteSpill(from.id(), bytes);
   overflow_exchange_.Send(from.id(), jstate_[ji].host_disk_node,
                           OverflowMsg{std::move(t),
                                       static_cast<int32_t>(ji), is_inner},
@@ -263,157 +261,6 @@ void HashJoinEngine::HandleProbeBatch(sim::Node& n, size_t ji,
       });
 }
 
-void HashJoinEngine::RouteBlock(sim::Node& n, const db::SplitTable& table,
-                                uint64_t seed, Side side,
-                                const storage::TupleBlock& block,
-                                const db::PredicateList* predicate,
-                                RouteScratch* s) {
-  const storage::Schema& schema =
-      side == Side::kInner ? *config_.inner_schema : *config_.outer_schema;
-  const int field =
-      side == Side::kInner ? config_.inner_field : config_.outer_field;
-  const size_t count = block.size();
-  const bool has_pred = predicate != nullptr && !predicate->empty();
-
-  // Pass 1 (uncharged, batch-friendly): keys, predicate verdicts,
-  // hashes and split-table indices for the whole block. Hashing a tuple
-  // the predicate later drops is harmless — nothing here charges or
-  // mutates engine state.
-  for (size_t i = 0; i < count; ++i) {
-    const uint8_t* data = block.view(i).data;
-    s->keys[i] = schema.GetInt32(data, static_cast<size_t>(field));
-    s->pred_ok[i] = !has_pred || db::EvalAll(*predicate, schema, data);
-  }
-  for (size_t i = 0; i < count; ++i) {
-    s->hashes[i] = HashJoinAttribute(s->keys[i], seed);
-  }
-  table.RouteIndices(s->hashes.data(), count, s->route.data());
-
-  // Pass 2 (sequential): the scalar path's per-tuple charge chain
-  // (read, predicate, route, filter), routing decisions, overflow
-  // spools and rebalance cursor updates, in scan order — so the
-  // floating-point accumulation order is identical tuple for tuple.
-  size_t m = 0;
-  for (size_t i = 0; i < count; ++i) {
-    n.ChargeCpu(n.cost().cpu_read_tuple_seconds,
-                sim::CostCategory::kReadTuple);
-    if (has_pred) {
-      n.ChargeCpu(n.cost().cpu_predicate_seconds,
-                  sim::CostCategory::kPredicate);
-      if (!s->pred_ok[i]) continue;
-    }
-    const uint64_t hash = s->hashes[i];
-    n.ChargeCpu(n.cost().cpu_hash_route_seconds,
-                sim::CostCategory::kHashRoute);
-    const db::SplitEntry& entry = table.entry(s->route[i]);
-    const uint32_t bytes = block.view(i).size;
-
-    if (entry.bucket > 0) {
-      // Forming-filter extension: outer tuples failing the filter built
-      // during the inner relation's bucket-forming pass are dropped
-      // before they are ever transmitted or stored.
-      if (side == Side::kOuter && forming_filter_ != nullptr) {
-        n.ChargeCpu(n.cost().cpu_filter_op_seconds,
-                    sim::CostCategory::kFilterOp);
-        if (!forming_filter_->MayContain(
-                static_cast<int>(DiskIndexOf(entry.node)), hash)) {
-          ++n.counters().filter_drops;
-          continue;
-        }
-      }
-      exchange_.Account(n.id(), entry.node, bytes);
-      s->staged[m] = RoutedTuple{
-          block.view(i).data, bytes, hash,
-          side == Side::kInner ? kBucketInner : kBucketOuter, entry.bucket};
-      s->send_dest[m] = entry.node;
-      ++m;
-      continue;
-    }
-
-    // Bucket-0 (joining) entries occupy the first J table slots in both
-    // the joining and Hybrid-partitioning layouts, so the entry index
-    // IS the join PROCESS index — the paper's split tables are
-    // per-process, which permits several join processes on one node
-    // (Appendix A's "fifth join process" remedy).
-    size_t ji = s->route[i];
-    GAMMA_DCHECK(ji < jstate_.size());
-    GAMMA_DCHECK(config_.join_nodes[ji] == entry.node);
-    if (side == Side::kInner) {
-      exchange_.Account(n.id(), entry.node, bytes);
-      s->staged[m] = RoutedTuple{block.view(i).data, bytes, hash, kBuild,
-                                 static_cast<int32_t>(ji)};
-      s->send_dest[m] = entry.node;
-      ++m;
-      continue;
-    }
-
-    // Rebalanced routing: an overridden bin's probe tuples go to its
-    // destination set instead of the static (mod J) process — each
-    // tuple to exactly ONE destination, chosen by this producer's
-    // per-bin round-robin cursor, so a replicated bin's probes spread
-    // evenly and every result pair is still produced exactly once.
-    if (rebalance_plan_.active) {
-      if (const std::vector<int>* dests =
-              rebalance_plan_.DestinationsFor(hash)) {
-        uint32_t& rr =
-            rebalance_rr_[DiskIndexOf(n.id())][rebalance_plan_.BinOf(hash)];
-        ji = static_cast<size_t>((*dests)[rr++ % dests->size()]);
-      }
-    }
-    const int dest_node = config_.join_nodes[ji];
-
-    // Outer side: the augmented split table routes overflow-range
-    // tuples "directly to the S' overflow files" (Section 3.2, step 3).
-    if (hash >= jstate_[ji].cutoff) {
-      SpoolToOverflow(n, ji, /*is_inner=*/false,
-                      storage::Tuple(block.view(i).data, bytes));
-      continue;
-    }
-    if (filter_ != nullptr) {
-      n.ChargeCpu(n.cost().cpu_filter_op_seconds,
-                  sim::CostCategory::kFilterOp);
-      if (!filter_->MayContain(static_cast<int>(ji), hash)) {
-        ++n.counters().filter_drops;
-        continue;
-      }
-    }
-    exchange_.Account(n.id(), dest_node, bytes);
-    s->staged[m] = RoutedTuple{block.view(i).data, bytes, hash, kProbe,
-                               static_cast<int32_t>(ji)};
-    s->send_dest[m] = dest_node;
-    ++m;
-  }
-  if (m == 0) return;
-
-  // Pass 3: stable counting sort of the staged views by destination,
-  // then one SendBatch per destination. Within a lane the views land in
-  // scan order — exactly the per-tuple Send() order — and only the
-  // 24-byte view moves; the payload bytes stay on the disk page until a
-  // consumer stores them.
-  std::fill(s->dest_counts.begin(), s->dest_counts.end(), 0);
-  for (size_t k = 0; k < m; ++k) {
-    ++s->dest_counts[static_cast<size_t>(s->send_dest[k])];
-  }
-  uint32_t run = 0;
-  for (size_t d = 0; d < s->dest_counts.size(); ++d) {
-    s->dest_starts[d] = run;
-    run += s->dest_counts[d];
-  }
-  for (size_t k = 0; k < m; ++k) {
-    s->send_order[s->dest_starts[static_cast<size_t>(s->send_dest[k])]++] =
-        static_cast<uint32_t>(k);
-  }
-  for (size_t d = 0; d < s->dest_counts.size(); ++d) {
-    const uint32_t c = s->dest_counts[d];
-    if (c == 0) continue;
-    const uint32_t start = s->dest_starts[d] - c;  // starts moved to ends
-    exchange_.SendBatch(
-        n.id(), static_cast<int>(d), c, [&](size_t k, RoutedTuple& out) {
-          out = s->staged[s->send_order[start + k]];
-        });
-  }
-}
-
 Status HashJoinEngine::DrainDiskSide(sim::Node& n, BucketFileSet* buckets) {
   // Both inboxes are always drained in full (the exchange must be empty
   // at the phase barrier even when a write fails); only the FIRST error
@@ -487,75 +334,40 @@ void HashJoinEngine::CollectChainStats() {
 
 Status HashJoinEngine::MaybeRebalance(const std::string& label) {
   if (!config_.rebalance.enabled) return Status::OK();
-  const size_t num_processes = jstate_.size();
   machine_->BeginPhase(label);
-
-  // Each join site scans its resident histogram (charged like any other
-  // table scan of that length) and ships the counts to the scheduler.
-  std::vector<std::vector<uint64_t>> counts(num_processes);
-  machine_->RunOnNodes(Participants(false), [&](sim::Node& n) {
-    for (size_t ji = 0; ji < num_processes; ++ji) {
-      if (config_.join_nodes[ji] != n.id()) continue;
-      const HashHistogram& h = jstate_[ji].table->histogram();
-      counts[ji].resize(h.num_bins());
-      for (uint32_t b = 0; b < h.num_bins(); ++b) {
-        counts[ji][b] = h.bin_count(b);
-      }
-      n.ChargeCpu(
-          static_cast<double>(h.num_bins()) * n.cost().cpu_compare_seconds,
-          sim::CostCategory::kCompare);
-    }
-  });
 
   // An overflow-engaged sub-join keeps the static route: overflow files
   // were already written under the static mapping, and replicated
   // residents would reach overflow resolution twice.
   bool overflow_engaged = false;
+  std::vector<const HashHistogram*> histograms;
   for (const JoinNodeState& st : jstate_) {
+    histograms.push_back(&st.table->histogram());
     if (st.cutoff != UINT64_MAX) overflow_engaged = true;
   }
-  rebalance_plan_ = db::RebalancePlan{};
-  if (!overflow_engaged) {
-    rebalance_plan_ = db::ComputeRebalancePlan(
-        counts, config_.inner_schema->tuple_bytes(),
-        config_.capacity_bytes_per_node, config_.rebalance);
-  }
-  db::ChargeRebalance(*machine_, static_cast<int>(num_processes),
-                      static_cast<int>(config_.disk_nodes.size()),
-                      rebalance_plan_.SerializedBytes());
-
-  if (rebalance_plan_.active) {
-    ++machine_->node(config_.join_nodes[0]).counters().rebalance_plans;
-    rebalance_rr_.resize(config_.disk_nodes.size());
-    for (size_t di = 0; di < rebalance_rr_.size(); ++di) {
-      rebalance_rr_[di].assign(rebalance_plan_.num_bins,
-                               static_cast<uint32_t>(di));
-    }
-
+  if (rebalancer_.Decide(*machine_, config_.join_nodes, histograms,
+                         config_.disk_nodes.size(),
+                         config_.inner_schema->tuple_bytes(),
+                         config_.capacity_bytes_per_node, config_.rebalance,
+                         overflow_engaged)) {
     // Round A: every process extracts its overridden-bin residents and
     // ships a view to each destination (possibly itself — a
     // short-circuited local delivery). The extracted tuples are parked
     // in `migrated` so the views stay valid until round B drains them;
     // replicas share one backing tuple.
     std::vector<std::vector<std::pair<uint64_t, storage::Tuple>>> migrated(
-        num_processes);
+        jstate_.size());
     machine_->RunOnNodes(Participants(false), [&](sim::Node& n) {
-      for (size_t ji = 0; ji < num_processes; ++ji) {
+      for (size_t ji = 0; ji < jstate_.size(); ++ji) {
         if (config_.join_nodes[ji] != n.id()) continue;
         migrated[ji] = jstate_[ji].table->ExtractIf([&](uint64_t hash) {
-          return rebalance_plan_.DestinationsFor(hash) != nullptr;
+          return rebalancer_.plan().DestinationsFor(hash) != nullptr;
         });
         for (const auto& [hash, tuple] : migrated[ji]) {
-          const std::vector<int>& dests =
-              *rebalance_plan_.DestinationsFor(hash);
-          ++n.counters().rebalance_moved_tuples;
-          n.counters().rebalance_replica_tuples +=
-              static_cast<int64_t>(dests.size()) - 1;
-          for (size_t k = 0; k < dests.size(); ++k) {
+          for (int dest : *rebalancer_.MigrationDestinations(n, hash)) {
             exchange_.Send(
-                n.id(), config_.join_nodes[static_cast<size_t>(dests[k])],
-                RoutedTuple{tuple.data(), tuple.size(), hash, kMigrate,
-                            dests[k]},
+                n.id(), config_.join_nodes[static_cast<size_t>(dest)],
+                RoutedTuple{tuple.data(), tuple.size(), hash, kMigrate, dest},
                 tuple.size());
           }
         }
@@ -627,15 +439,79 @@ Status HashJoinEngine::PartitionPhase(const std::string& label,
   // is reported.
   Status phase_status;
 
-  // Round A: producers scan blocks and route them.
+  // Round A: producers scan blocks and route them through the shared
+  // router; `decide` is the hash engines' routing decision for one
+  // tuple, called after its hash-route charge.
   {
     const Status round = machine_->TryRunOnNodes(
         config_.disk_nodes, [&](sim::Node& n) -> Status {
           const size_t di = DiskIndexOf(n.id());
-          RouteScratch scratch(static_cast<size_t>(machine_->num_nodes()));
+          BlockRouter router(
+              &exchange_, machine_->num_nodes(), table,
+              side == Side::kInner ? *config_.inner_schema
+                                   : *config_.outer_schema,
+              side == Side::kInner ? config_.inner_field : config_.outer_field,
+              seed, producers[di].predicate);
+          const auto decide = [&](uint32_t route, uint64_t hash,
+                                  const storage::TupleView& view,
+                                  RouteTarget* to) {
+            const db::SplitEntry& entry = table.entry(route);
+            if (entry.bucket > 0) {
+              // Forming-filter extension: outer tuples failing the filter
+              // built during the inner relation's bucket-forming pass are
+              // dropped before they are ever transmitted or stored.
+              if (side == Side::kOuter && forming_filter_ != nullptr) {
+                n.ChargeCpu(n.cost().cpu_filter_op_seconds,
+                            sim::CostCategory::kFilterOp);
+                if (!forming_filter_->MayContain(
+                        static_cast<int>(DiskIndexOf(entry.node)), hash)) {
+                  ++n.counters().filter_drops;
+                  return false;
+                }
+              }
+              *to = RouteTarget{
+                  entry.node,
+                  side == Side::kInner ? kBucketInner : kBucketOuter,
+                  entry.bucket};
+              return true;
+            }
+            // Bucket-0 (joining) entries occupy the first J table slots
+            // in both the joining and Hybrid-partitioning layouts, so the
+            // entry index IS the join PROCESS index — the paper's split
+            // tables are per-process, which permits several join
+            // processes on one node (Appendix A's "fifth join process").
+            size_t ji = route;
+            GAMMA_DCHECK(ji < jstate_.size());
+            GAMMA_DCHECK(config_.join_nodes[ji] == entry.node);
+            if (side == Side::kInner) {
+              *to = RouteTarget{entry.node, kBuild, static_cast<int32_t>(ji)};
+              return true;
+            }
+            // Rebalanced routing: an overridden bin's probe tuples go to
+            // its destination set instead of the static (mod J) process.
+            const int override_ji = rebalancer_.ProbeDestination(di, hash);
+            if (override_ji >= 0) ji = static_cast<size_t>(override_ji);
+            // The augmented split table routes overflow-range tuples
+            // "directly to the S' overflow files" (Section 3.2, step 3).
+            if (hash >= jstate_[ji].cutoff) {
+              SpoolToOverflow(n, ji, /*is_inner=*/false,
+                              storage::Tuple(view.data, view.size));
+              return false;
+            }
+            if (filter_ != nullptr) {
+              n.ChargeCpu(n.cost().cpu_filter_op_seconds,
+                          sim::CostCategory::kFilterOp);
+              if (!filter_->MayContain(static_cast<int>(ji), hash)) {
+                ++n.counters().filter_drops;
+                return false;
+              }
+            }
+            *to = RouteTarget{config_.join_nodes[ji], kProbe,
+                              static_cast<int32_t>(ji)};
+            return true;
+          };
           return producers[di].scan(n, [&](const storage::TupleBlock& block) {
-            RouteBlock(n, table, seed, side, block, producers[di].predicate,
-                       &scratch);
+            router.Route(n, block, decide);
           });
         });
     if (phase_status.ok()) phase_status = round;
@@ -819,11 +695,7 @@ Status HashJoinEngine::ResolveOverflows(const std::string& label,
                 if (config_.broker != nullptr) {
                   config_.broker->NoteRefill(n.id(), file->data_bytes());
                 }
-                exchange_.ReserveRow(n.id(), file->tuple_count());
-                auto scanner = file->Scan();
-                storage::TupleBlock block;
-                while (scanner.NextBlock(&block)) yield(block);
-                GAMMA_RETURN_IF_ERROR(scanner.status());
+                GAMMA_RETURN_IF_ERROR(ScanBlocks(n, *file, yield));
               }
               return Status::OK();
             },
@@ -1063,20 +935,23 @@ Status HashJoinEngine::RunSubJoin(const std::string& label,
   return ResolveOverflows(label + " ovfl", seed);
 }
 
+Status HashJoinEngine::ScanBlocks(sim::Node& n, const storage::HeapFile& file,
+                                  const BlockYield& yield) {
+  exchange_.ReserveRow(n.id(), file.tuple_count());
+  auto scanner = file.Scan();
+  storage::TupleBlock block;
+  while (scanner.NextBlock(&block)) yield(block);
+  return scanner.status();
+}
+
 std::vector<Producer> HashJoinEngine::BucketProducers(BucketFileSet* files,
                                                       int bucket) {
   std::vector<Producer> producers;
   producers.reserve(config_.disk_nodes.size());
   for (size_t di = 0; di < config_.disk_nodes.size(); ++di) {
     producers.push_back(Producer{
-        [this, files, bucket, di](sim::Node& n,
-                                  const BlockYield& yield) -> Status {
-          storage::HeapFile& file = files->file(bucket, di);
-          exchange_.ReserveRow(n.id(), file.tuple_count());
-          auto scanner = file.Scan();
-          storage::TupleBlock block;
-          while (scanner.NextBlock(&block)) yield(block);
-          return scanner.status();
+        [this, files, bucket, di](sim::Node& n, const BlockYield& yield) {
+          return ScanBlocks(n, files->file(bucket, di), yield);
         },
         nullptr});
   }
@@ -1089,17 +964,12 @@ std::vector<Producer> HashJoinEngine::RelationProducers(
   std::vector<Producer> producers;
   producers.reserve(config_.disk_nodes.size());
   for (size_t di = 0; di < config_.disk_nodes.size(); ++di) {
-    // The predicate rides on the Producer; RouteBlock evaluates and
+    // The predicate rides on the Producer; the router evaluates and
     // charges it per tuple between the read and route charges, exactly
     // where the scalar producer loop charged it.
     producers.push_back(Producer{
-        [this, relation, di](sim::Node& n,
-                             const BlockYield& yield) -> Status {
-          exchange_.ReserveRow(n.id(), relation->fragment(di).tuple_count());
-          auto scanner = relation->fragment(di).Scan();
-          storage::TupleBlock block;
-          while (scanner.NextBlock(&block)) yield(block);
-          return scanner.status();
+        [this, relation, di](sim::Node& n, const BlockYield& yield) {
+          return ScanBlocks(n, relation->fragment(di), yield);
         },
         predicate});
   }

@@ -30,7 +30,6 @@
 #ifndef GAMMA_JOIN_HASH_ENGINE_H_
 #define GAMMA_JOIN_HASH_ENGINE_H_
 
-#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -43,6 +42,7 @@
 #include "gamma/rebalance.h"
 #include "gamma/split_table.h"
 #include "join/hash_table.h"
+#include "join/router.h"
 #include "join/spec.h"
 #include "sim/exchange.h"
 #include "sim/machine.h"
@@ -220,30 +220,14 @@ class HashJoinEngine {
     size_t store_rr_next = 0;  // round-robin cursor for result routing
   };
 
-  /// A routed tuple is a VIEW, not a copy: `data` points at stable
-  /// serialized bytes — a simulated disk page (scans; pages are
-  /// individually heap-allocated and only freed after the phase that
-  /// routed them fully drains) or a rebalance holding area that outlives
-  /// both migration rounds. Shipping 24-byte views instead of owned
-  /// tuples is what makes the block exchange fast: lane traffic shrinks
-  /// ~9x for Wisconsin tuples and the payload bytes are copied exactly
-  /// once, at the consumer that stores them. Network accounting still
-  /// charges the full serialized `size` per tuple, so the simulated
-  /// metrics are unchanged.
-  struct RoutedTuple {
-    const uint8_t* data;
-    uint32_t size;
-    uint64_t hash;
-    uint8_t kind;  // RoutedKind
-    int32_t aux;   // join index (build/probe) or bucket number
-  };
-
   struct OverflowMsg {
     storage::Tuple tuple;
     int32_t join_index;
     bool is_inner;
   };
 
+  /// RoutedTuple::kind; `aux` is the join process index, or the bucket
+  /// number for the bucket kinds.
   enum RoutedKind : uint8_t {
     kBuild,
     kProbe,
@@ -253,38 +237,11 @@ class HashJoinEngine {
   };
 
   size_t DiskIndexOf(int node_id) const;
+  /// A producer scan: yields every block of `file` on its node `n`.
+  Status ScanBlocks(sim::Node& n, const storage::HeapFile& file,
+                    const BlockYield& yield);
   std::vector<int> Participants(bool with_disk_nodes) const;
 
-  /// Per-producer scratch for RouteBlock (fixed block-sized arrays plus
-  /// per-destination counters). One instance per producer invocation so
-  /// concurrent producer tasks never share it, and the per-block path
-  /// does no allocation.
-  struct RouteScratch {
-    explicit RouteScratch(size_t num_nodes)
-        : dest_counts(num_nodes, 0), dest_starts(num_nodes, 0) {}
-    std::array<int32_t, storage::TupleBlock::kCapacity> keys;
-    std::array<uint64_t, storage::TupleBlock::kCapacity> hashes;
-    std::array<uint32_t, storage::TupleBlock::kCapacity> route;
-    std::array<bool, storage::TupleBlock::kCapacity> pred_ok;
-    // Survivors that leave through exchange_, fully staged in scan
-    // order; pass 3 scatters them per destination by index.
-    std::array<RoutedTuple, storage::TupleBlock::kCapacity> staged;
-    std::array<int32_t, storage::TupleBlock::kCapacity> send_dest;
-    std::array<uint32_t, storage::TupleBlock::kCapacity> send_order;
-    std::vector<uint32_t> dest_counts;
-    std::vector<uint32_t> dest_starts;
-  };
-
-  /// Routes one scan block: pass 1 batch-computes keys, predicate
-  /// verdicts, hashes and split-table indices (uncharged); pass 2
-  /// replays the scalar per-tuple charge chain and routing decisions in
-  /// scan order, staging a RoutedTuple view per survivor; pass 3
-  /// counting-sorts the staged views by destination and appends each
-  /// destination's run with one SendBatch — no payload bytes move until
-  /// a consumer stores them.
-  void RouteBlock(sim::Node& n, const db::SplitTable& table, uint64_t seed,
-                  Side side, const storage::TupleBlock& block,
-                  const db::PredicateList* predicate, RouteScratch* scratch);
   void HandleBuildArrival(sim::Node& n, size_t ji, uint64_t hash,
                           storage::Tuple&& t);
   /// Probes a run of same-process kProbe arrivals through
@@ -318,13 +275,8 @@ class HashJoinEngine {
   std::unique_ptr<db::BitFilterSet> forming_filter_;
   int overflow_file_counter_ = 0;
 
-  // Adaptive repartitioning state, reset per sub-join.
-  db::RebalancePlan rebalance_plan_;
-  /// Per-producer, per-bin round-robin cursors spreading a replicated
-  /// bin's probe tuples over its destinations. Each producer owns its
-  /// row (no races) and the cursors are seeded with the producer index,
-  /// so routing is identical at any thread count.
-  std::vector<std::vector<uint32_t>> rebalance_rr_;
+  /// Adaptive repartitioning state, reset per sub-join.
+  db::Rebalancer rebalancer_;
   /// Build-side finalization (bit filter, chain stats) postponed from
   /// PartitionPhase to MaybeRebalance so the filter reflects residency
   /// after any migration.

@@ -1,7 +1,6 @@
 #include "join/sort_merge.h"
 
 #include <algorithm>
-#include <array>
 #include <memory>
 #include <vector>
 
@@ -12,6 +11,7 @@
 #include "gamma/rebalance.h"
 #include "gamma/scheduler.h"
 #include "gamma/split_table.h"
+#include "join/router.h"
 #include "sim/exchange.h"
 #include "storage/external_sort.h"
 #include "storage/heap_file.h"
@@ -19,11 +19,6 @@
 namespace gammadb::join {
 
 namespace {
-
-struct HashedTuple {
-  storage::Tuple tuple;
-  uint64_t hash;
-};
 
 /// One disk node's sort-merge working state.
 struct SiteState {
@@ -112,12 +107,17 @@ Status RunSortMergeJoin(sim::Machine& machine, const SortMergeParams& params,
     sites[di].store_rr_next = di;
   }
 
-  sim::Exchange<HashedTuple> exchange(&machine);
+  sim::Exchange<RoutedTuple> exchange(&machine);
   sim::Exchange<storage::Tuple> store_exchange(&machine);
   std::unique_ptr<db::BitFilterSet> filter;
   if (params.use_bit_filters) {
     filter = std::make_unique<db::BitFilterSet>(static_cast<int>(d));
   }
+  // The site index of a disk node.
+  const auto site_of = [&disks](const sim::Node& n) {
+    return static_cast<size_t>(
+        std::find(disks.begin(), disks.end(), n.id()) - disks.begin());
+  };
 
   // Adaptive repartitioning (docs/skew.md): each site histograms R' as
   // it arrives (free alongside the append, like the hash tables'
@@ -125,16 +125,36 @@ Status RunSortMergeJoin(sim::Machine& machine, const SortMergeParams& params,
   // heavy bins' routing for S and redistributes R' before sorting.
   const bool adaptive = params.rebalance.enabled && d >= 2;
   std::vector<HashHistogram> site_hist(adaptive ? d : 0);
-  db::RebalancePlan plan;
-  // Per-producer, per-bin round-robin cursors for replicated bins,
-  // seeded with the producer index (deterministic at any thread count).
-  std::vector<std::vector<uint32_t>> plan_rr;
+  db::Rebalancer rebalancer;
+
+  // Receivers: drain node n's inbox into `file` and flush it. Inner
+  // arrivals also set the site's filter slice (the slices are per site,
+  // so the bits must live where the probes will arrive) and histogram
+  // (read only by the rebalance decision, before any migrated arrival).
+  const auto absorb = [&](sim::Node& n, storage::HeapFile* file,
+                          bool is_inner) -> Status {
+    const size_t di = site_of(n);
+    Status st;
+    exchange.DrainInboxBlocks(n.id(), [&](std::vector<RoutedTuple>& lane) {
+      for (const RoutedTuple& m : lane) {
+        if (is_inner && filter != nullptr) {
+          n.ChargeCpu(n.cost().cpu_filter_op_seconds,
+                      sim::CostCategory::kFilterOp);
+          filter->Set(static_cast<int>(di), m.hash);
+        }
+        if (is_inner && adaptive) site_hist[di].Add(m.hash);
+        const Status append = file->AppendRecord(m.data);
+        if (st.ok()) st = append;
+      }
+    });
+    const Status flush = file->FlushAppends();
+    return st.ok() ? flush : st;
+  };
 
   const auto partition_phase = [&](const char* label,
                                    const db::StoredRelation* rel,
                                    const db::PredicateList* predicate,
-                                   int field, bool is_inner,
-                                   std::vector<SiteState>& state) -> Status {
+                                   int field, bool is_inner) -> Status {
     machine.BeginPhase(label);
     db::ChargeOperatorPhase(machine, static_cast<int>(d), static_cast<int>(d),
                             joining.SerializedBytes());
@@ -143,151 +163,83 @@ Status RunSortMergeJoin(sim::Machine& machine, const SortMergeParams& params,
     // error is kept.
     Status phase_status;
     // Producers: scan local fragments block-wise and route by
-    // join-attribute hash. Same three-pass structure as
-    // HashJoinEngine::RouteBlock — pass 1 batch-computes keys,
-    // predicate verdicts, hashes and route indices (uncharged); pass 2
-    // replays the scalar per-tuple charge chain in scan order; pass 3
-    // counting-sorts the survivors by destination and appends each
-    // site's run with one SendBatch, copying each tuple once from the
-    // page image into its lane slot.
+    // join-attribute hash through the shared router.
     {
       const Status round = machine.TryRunOnNodes(
           disks, [&](sim::Node& n) -> Status {
-            size_t di = 0;
-            for (size_t i = 0; i < d; ++i) {
-              if (disks[i] == n.id()) di = i;
-            }
+            const size_t di = site_of(n);
             exchange.ReserveRow(n.id(), rel->fragment(di).tuple_count());
-            auto scanner = rel->fragment(di).Scan();
-            const bool has_predicate =
-                predicate != nullptr && !predicate->empty();
-            const storage::Schema& schema = rel->schema();
-            storage::TupleBlock block;
-            std::array<int32_t, storage::TupleBlock::kCapacity> keys;
-            std::array<uint64_t, storage::TupleBlock::kCapacity> hashes;
-            std::array<uint32_t, storage::TupleBlock::kCapacity> route;
-            std::array<bool, storage::TupleBlock::kCapacity> pred_ok;
-            std::array<uint32_t, storage::TupleBlock::kCapacity> send_idx;
-            std::array<uint32_t, storage::TupleBlock::kCapacity> send_site;
-            std::array<uint32_t, storage::TupleBlock::kCapacity> send_order;
-            std::vector<uint32_t> site_counts(d);
-            std::vector<uint32_t> site_starts(d);
-            while (scanner.NextBlock(&block)) {
-              const size_t count = block.size();
-              for (size_t i = 0; i < count; ++i) {
-                const uint8_t* data = block.view(i).data;
-                keys[i] = schema.GetInt32(data, static_cast<size_t>(field));
-                pred_ok[i] =
-                    !has_predicate || db::EvalAll(*predicate, schema, data);
-              }
-              for (size_t i = 0; i < count; ++i) {
-                hashes[i] = HashJoinAttribute(keys[i], params.hash_seed);
-              }
-              joining.RouteIndices(hashes.data(), count, route.data());
-              size_t m = 0;
-              for (size_t i = 0; i < count; ++i) {
-                n.ChargeCpu(n.cost().cpu_read_tuple_seconds,
-                            sim::CostCategory::kReadTuple);
-                if (has_predicate) {
-                  n.ChargeCpu(n.cost().cpu_predicate_seconds,
-                              sim::CostCategory::kPredicate);
-                  if (!pred_ok[i]) continue;
-                }
-                const uint64_t hash = hashes[i];
-                n.ChargeCpu(n.cost().cpu_hash_route_seconds,
-                            sim::CostCategory::kHashRoute);
-                // For a joining table the entry index IS the site index.
-                size_t site = route[i];
-                // Rebalanced routing: an overridden bin's S tuples go
-                // to its destination set — each tuple to exactly one
-                // destination via this producer's round-robin cursor.
-                if (!is_inner && plan.active) {
-                  if (const std::vector<int>* dests =
-                          plan.DestinationsFor(hash)) {
-                    uint32_t& cur = plan_rr[di][plan.BinOf(hash)];
-                    site =
-                        static_cast<size_t>((*dests)[cur++ % dests->size()]);
-                  }
+            BlockRouter router(&exchange, machine.num_nodes(), joining,
+                               rel->schema(), field, params.hash_seed,
+                               predicate);
+            // For a joining table the entry index IS the site index.
+            const auto decide = [&](uint32_t route, uint64_t hash,
+                                    const storage::TupleView&,
+                                    RouteTarget* to) {
+              size_t site = route;
+              if (!is_inner) {
+                const int override_site =
+                    rebalancer.ProbeDestination(di, hash);
+                if (override_site >= 0) {
+                  site = static_cast<size_t>(override_site);
                 }
                 // The assembled filter is applied by the producers of
                 // the outer relation: eliminated tuples are never
                 // transmitted, stored, sorted or merged.
-                if (!is_inner && filter != nullptr) {
+                if (filter != nullptr) {
                   n.ChargeCpu(n.cost().cpu_filter_op_seconds,
                               sim::CostCategory::kFilterOp);
                   if (!filter->MayContain(static_cast<int>(site), hash)) {
                     ++n.counters().filter_drops;
-                    continue;
+                    return false;
                   }
                 }
-                exchange.Account(n.id(), disks[site], block.view(i).size);
-                send_idx[m] = static_cast<uint32_t>(i);
-                send_site[m] = static_cast<uint32_t>(site);
-                ++m;
               }
-              if (m == 0) continue;
-              std::fill(site_counts.begin(), site_counts.end(), 0);
-              for (size_t k = 0; k < m; ++k) ++site_counts[send_site[k]];
-              uint32_t at = 0;
-              for (size_t s = 0; s < d; ++s) {
-                site_starts[s] = at;
-                at += site_counts[s];
-              }
-              for (size_t k = 0; k < m; ++k) {
-                send_order[site_starts[send_site[k]]++] =
-                    static_cast<uint32_t>(k);
-              }
-              for (size_t s = 0; s < d; ++s) {
-                const uint32_t c = site_counts[s];
-                if (c == 0) continue;
-                const uint32_t start = site_starts[s] - c;
-                exchange.SendBatch(
-                    n.id(), disks[s], c, [&](size_t k, HashedTuple& out) {
-                      const uint32_t sk = send_order[start + k];
-                      const storage::TupleView v = block.view(send_idx[sk]);
-                      out.tuple.Assign(v.data, v.size);
-                      out.hash = hashes[send_idx[sk]];
-                    });
-              }
-            }
+              *to = RouteTarget{disks[site], 0, static_cast<int32_t>(site)};
+              return true;
+            };
+            auto scanner = rel->fragment(di).Scan();
+            storage::TupleBlock block;
+            while (scanner.NextBlock(&block)) router.Route(n, block, decide);
             return scanner.status();
           });
       if (phase_status.ok()) phase_status = round;
     }
-    // Receivers: store into the local temporary file; the inner side
-    // also contributes its slice of the bit filter as tuples arrive.
     {
       const Status round = machine.TryRunOnNodes(
           disks, [&](sim::Node& n) -> Status {
-            size_t di = 0;
-            for (size_t i = 0; i < d; ++i) {
-              if (disks[i] == n.id()) di = i;
-            }
-            storage::HeapFile* temp =
-                is_inner ? state[di].r_temp.get() : state[di].s_temp.get();
-            Status st;
-            exchange.DrainInboxBlocks(
-                n.id(), [&](std::vector<HashedTuple>& lane) {
-                  for (HashedTuple& m : lane) {
-                    if (is_inner && filter != nullptr) {
-                      n.ChargeCpu(n.cost().cpu_filter_op_seconds,
-                                  sim::CostCategory::kFilterOp);
-                      filter->Set(static_cast<int>(di), m.hash);
-                    }
-                    if (is_inner && adaptive) site_hist[di].Add(m.hash);
-                    const Status append = temp->Append(m.tuple);
-                    if (st.ok()) st = append;
-                  }
-                });
-            const Status flush = temp->FlushAppends();
-            if (st.ok()) st = flush;
-            return st;
+            SiteState& site = sites[site_of(n)];
+            return absorb(
+                n, is_inner ? site.r_temp.get() : site.s_temp.get(), is_inner);
           });
       if (phase_status.ok()) phase_status = round;
     }
     const Status end = machine.EndPhase();
     if (phase_status.ok()) phase_status = end;
     return phase_status;
+  };
+
+  // Sorts every site's R' (or S') temporary file into its sorter.
+  const auto sort_phase = [&](const char* label, bool is_inner) -> Status {
+    machine.BeginPhase(label);
+    db::ChargeOperatorPhase(machine, static_cast<int>(d), 0, 0);
+    const Status st = machine.TryRunOnNodes(
+        disks, [&](sim::Node& n) -> Status {
+          SiteState& site = sites[site_of(n)];
+          std::unique_ptr<storage::HeapFile>& temp =
+              is_inner ? site.r_temp : site.s_temp;
+          std::unique_ptr<storage::ExternalSort>& sort =
+              is_inner ? site.r_sort : site.s_sort;
+          sort = std::make_unique<storage::ExternalSort>(
+              &n, is_inner ? &r_schema : &s_schema,
+              is_inner ? params.inner_field : params.outer_field,
+              sort_pages_per_node);
+          GAMMA_RETURN_IF_ERROR(sort->AddFile(*temp));
+          temp->Free();
+          return sort->FinishInput();
+        });
+    const Status end = machine.EndPhase();
+    return st.ok() ? end : st;
   };
 
   // All join work runs inside `run` so a faulted attempt can release
@@ -298,7 +250,7 @@ Status RunSortMergeJoin(sim::Machine& machine, const SortMergeParams& params,
     GAMMA_RETURN_IF_ERROR(partition_phase("sm partition R", params.inner,
                                         params.inner_predicate,
                                         params.inner_field,
-                                        /*is_inner=*/true, sites));
+                                        /*is_inner=*/true));
 
     // Phase 1b (adaptive, docs/skew.md): gather the sites' R'
     // histograms; if heavy bins make a rebalance worthwhile, rewrite R'
@@ -309,35 +261,17 @@ Status RunSortMergeJoin(sim::Machine& machine, const SortMergeParams& params,
     // unbounded capacity.
     if (adaptive) {
       machine.BeginPhase("sm rebalance R");
-      std::vector<std::vector<uint64_t>> counts(d);
-      machine.RunOnNodes(disks, [&](sim::Node& n) {
-        size_t di = 0;
-        for (size_t i = 0; i < d; ++i) {
-          if (disks[i] == n.id()) di = i;
-        }
-        const HashHistogram& h = site_hist[di];
-        counts[di].resize(h.num_bins());
-        for (uint32_t b = 0; b < h.num_bins(); ++b) {
-          counts[di][b] = h.bin_count(b);
-        }
-        n.ChargeCpu(
-            static_cast<double>(h.num_bins()) * n.cost().cpu_compare_seconds,
-            sim::CostCategory::kCompare);
-      });
-      plan = db::ComputeRebalancePlan(counts, r_schema.tuple_bytes(),
-                                      UINT64_MAX, params.rebalance);
-      db::ChargeRebalance(machine, static_cast<int>(d), static_cast<int>(d),
-                          plan.SerializedBytes());
+      std::vector<const HashHistogram*> histograms;
+      for (const HashHistogram& h : site_hist) histograms.push_back(&h);
       Status reb_status;
-      if (plan.active) {
-        ++machine.node(disks[0]).counters().rebalance_plans;
-        plan_rr.resize(d);
-        for (size_t di = 0; di < d; ++di) {
-          plan_rr[di].assign(plan.num_bins, static_cast<uint32_t>(di));
-        }
+      if (rebalancer.Decide(machine, disks, histograms, d,
+                            r_schema.tuple_bytes(), UINT64_MAX,
+                            params.rebalance, /*keep_static=*/false)) {
         // Round A: every site rewrites its R' — overridden bins ship a
-        // copy to each destination, the rest land in the replacement
+        // view to each destination, the rest land in the replacement
         // file. An honest full read + rewrite of R', charged as such.
+        // The views point into R' pages, which live until round B is
+        // drained.
         std::vector<std::unique_ptr<storage::HeapFile>> keep(d);
         for (size_t di = 0; di < d; ++di) {
           keep[di] = std::make_unique<storage::HeapFile>(
@@ -345,63 +279,42 @@ Status RunSortMergeJoin(sim::Machine& machine, const SortMergeParams& params,
               "smR.reb." + std::to_string(di));
         }
         reb_status = machine.TryRunOnNodes(disks, [&](sim::Node& n) -> Status {
-          size_t di = 0;
-          for (size_t i = 0; i < d; ++i) {
-            if (disks[i] == n.id()) di = i;
-          }
+          const size_t di = site_of(n);
           auto scanner = sites[di].r_temp->Scan();
-          storage::Tuple t;
+          storage::TupleBlock block;
           Status st;
-          while (scanner.Next(&t)) {
-            const int32_t key = t.GetInt32(
-                r_schema, static_cast<size_t>(params.inner_field));
-            const uint64_t hash = HashJoinAttribute(key, params.hash_seed);
-            n.ChargeCpu(n.cost().cpu_hash_route_seconds,
-                        sim::CostCategory::kHashRoute);
-            if (const std::vector<int>* dests = plan.DestinationsFor(hash)) {
-              ++n.counters().rebalance_moved_tuples;
-              n.counters().rebalance_replica_tuples +=
-                  static_cast<int64_t>(dests->size()) - 1;
-              for (size_t k = 0; k < dests->size(); ++k) {
-                storage::Tuple copy = (k + 1 == dests->size())
-                                          ? std::move(t)
-                                          : storage::Tuple(t);
-                const uint32_t bytes = copy.size();
-                exchange.Send(
-                    n.id(), disks[static_cast<size_t>((*dests)[k])],
-                    HashedTuple{std::move(copy), hash}, bytes);
+          while (scanner.NextBlock(&block)) {
+            for (size_t i = 0; i < block.size(); ++i) {
+              const storage::TupleView& v = block.view(i);
+              n.ChargeCpu(n.cost().cpu_read_tuple_seconds,
+                          sim::CostCategory::kReadTuple);
+              const uint64_t hash = HashJoinAttribute(
+                  r_schema.GetInt32(v.data,
+                                    static_cast<size_t>(params.inner_field)),
+                  params.hash_seed);
+              n.ChargeCpu(n.cost().cpu_hash_route_seconds,
+                          sim::CostCategory::kHashRoute);
+              if (const std::vector<int>* dests =
+                      rebalancer.MigrationDestinations(n, hash)) {
+                for (int dest : *dests) {
+                  exchange.Send(n.id(), disks[static_cast<size_t>(dest)],
+                                RoutedTuple{v.data, v.size, hash, 0, dest},
+                                v.size);
+                }
+              } else {
+                const Status append = keep[di]->AppendRecord(v.data);
+                if (st.ok()) st = append;
               }
-            } else {
-              const Status append = keep[di]->Append(t);
-              if (st.ok()) st = append;
             }
           }
           if (st.ok()) st = scanner.status();
           return st;
         });
-        // Round B: destinations absorb the migrated tuples, setting
-        // their filter slice — the slices are per-site, so the bits
-        // must live where the probes will now arrive.
+        // Round B: destinations absorb the migrated tuples.
         {
           const Status round =
               machine.TryRunOnNodes(disks, [&](sim::Node& n) -> Status {
-                size_t di = 0;
-                for (size_t i = 0; i < d; ++i) {
-                  if (disks[i] == n.id()) di = i;
-                }
-                Status st;
-                for (HashedTuple& m : exchange.TakeInbox(n.id())) {
-                  if (filter != nullptr) {
-                    n.ChargeCpu(n.cost().cpu_filter_op_seconds,
-                                sim::CostCategory::kFilterOp);
-                    filter->Set(static_cast<int>(di), m.hash);
-                  }
-                  const Status append = keep[di]->Append(m.tuple);
-                  if (st.ok()) st = append;
-                }
-                const Status flush = keep[di]->FlushAppends();
-                if (st.ok()) st = flush;
-                return st;
+                return absorb(n, keep[site_of(n)].get(), /*is_inner=*/true);
               });
           if (reb_status.ok()) reb_status = round;
         }
@@ -418,25 +331,7 @@ Status RunSortMergeJoin(sim::Machine& machine, const SortMergeParams& params,
     }
 
     // Phase 2: sort the local R' files in parallel.
-    machine.BeginPhase("sm sort R");
-    db::ChargeOperatorPhase(machine, static_cast<int>(d), 0, 0);
-    Status sort_status = machine.TryRunOnNodes(
-        disks, [&](sim::Node& n) -> Status {
-          size_t di = 0;
-          for (size_t i = 0; i < d; ++i) {
-            if (disks[i] == n.id()) di = i;
-          }
-          sites[di].r_sort = std::make_unique<storage::ExternalSort>(
-              &n, &r_schema, params.inner_field, sort_pages_per_node);
-          GAMMA_RETURN_IF_ERROR(sites[di].r_sort->AddFile(*sites[di].r_temp));
-          sites[di].r_temp->Free();
-          return sites[di].r_sort->FinishInput();
-        });
-    {
-      const Status end = machine.EndPhase();
-      if (sort_status.ok()) sort_status = end;
-      GAMMA_RETURN_IF_ERROR(sort_status);
-    }
+    GAMMA_RETURN_IF_ERROR(sort_phase("sm sort R", /*is_inner=*/true));
     if (filter != nullptr) {
       // Ship the assembled filter packet to the producing sites before S
       // is read.
@@ -450,28 +345,10 @@ Status RunSortMergeJoin(sim::Machine& machine, const SortMergeParams& params,
     GAMMA_RETURN_IF_ERROR(partition_phase("sm partition S", params.outer,
                                         params.outer_predicate,
                                         params.outer_field,
-                                        /*is_inner=*/false, sites));
+                                        /*is_inner=*/false));
 
     // Phase 4: sort the local S' files in parallel.
-    machine.BeginPhase("sm sort S");
-    db::ChargeOperatorPhase(machine, static_cast<int>(d), 0, 0);
-    sort_status = machine.TryRunOnNodes(
-        disks, [&](sim::Node& n) -> Status {
-          size_t di = 0;
-          for (size_t i = 0; i < d; ++i) {
-            if (disks[i] == n.id()) di = i;
-          }
-          sites[di].s_sort = std::make_unique<storage::ExternalSort>(
-              &n, &s_schema, params.outer_field, sort_pages_per_node);
-          GAMMA_RETURN_IF_ERROR(sites[di].s_sort->AddFile(*sites[di].s_temp));
-          sites[di].s_temp->Free();
-          return sites[di].s_sort->FinishInput();
-        });
-    {
-      const Status end = machine.EndPhase();
-      if (sort_status.ok()) sort_status = end;
-      GAMMA_RETURN_IF_ERROR(sort_status);
-    }
+    GAMMA_RETURN_IF_ERROR(sort_phase("sm sort S", /*is_inner=*/false));
 
     for (const SiteState& site : sites) {
       stats->inner_sort_passes = std::max(stats->inner_sort_passes,
@@ -487,10 +364,7 @@ Status RunSortMergeJoin(sim::Machine& machine, const SortMergeParams& params,
                             0);
     Status merge_status = machine.TryRunOnNodes(
         disks, [&](sim::Node& n) -> Status {
-          size_t di = 0;
-          for (size_t i = 0; i < d; ++i) {
-            if (disks[i] == n.id()) di = i;
-          }
+          const size_t di = site_of(n);
           auto r_stream = sites[di].r_sort->OpenStream();
           auto s_stream = sites[di].s_sort->OpenStream();
           MergeJoinStreams(
@@ -512,10 +386,7 @@ Status RunSortMergeJoin(sim::Machine& machine, const SortMergeParams& params,
     {
       const Status round = machine.TryRunOnNodes(
           disks, [&](sim::Node& n) -> Status {
-            size_t di = 0;
-            for (size_t i = 0; i < d; ++i) {
-              if (disks[i] == n.id()) di = i;
-            }
+            const size_t di = site_of(n);
             Status st;
             store_exchange.DrainInboxBlocks(
                 n.id(), [&](std::vector<storage::Tuple>& lane) {

@@ -12,19 +12,22 @@ namespace gammadb::sim {
 Disk::Disk(Node* owner, const CostModel* cost) : owner_(owner), cost_(cost) {}
 
 PageId Disk::AllocatePage() {
-  if (!free_list_.empty()) {
-    const PageId id = free_list_.back();
+  PageId id;
+  if (free_list_.empty()) {
+    id = static_cast<PageId>(pages_.size());
+    pages_.emplace_back();
+  } else {
+    id = free_list_.back();
     free_list_.pop_back();
-    std::memset(pages_[id].get(), 0, cost_->page_bytes);
-    return id;
   }
-  pages_.push_back(std::make_unique<uint8_t[]>(cost_->page_bytes));
-  std::memset(pages_.back().get(), 0, cost_->page_bytes);
-  return static_cast<PageId>(pages_.size() - 1);
+  pages_[id] = std::make_unique_for_overwrite<uint8_t[]>(cost_->page_bytes);
+  std::memset(pages_[id].get(), 0, cost_->page_bytes);
+  return id;
 }
 
 void Disk::FreePage(PageId id) {
   GAMMA_DCHECK(id < pages_.size());
+  pages_[id].reset();
   free_list_.push_back(id);
 }
 

@@ -46,8 +46,10 @@ class Disk {
   /// cost is paid when the page is read or written.
   PageId AllocatePage();
 
-  /// Returns a page to the free pool. Freeing is free (Gamma temp files
-  /// are dropped by catalog operations, not per-page I/O).
+  /// Releases a page: its memory goes back to the host allocator (so a
+  /// dropped temp file pins no host memory) and its id to the free pool.
+  /// Freeing is free (Gamma temp files are dropped by catalog
+  /// operations, not per-page I/O).
   void FreePage(PageId id);
 
   /// Copies `cost().page_bytes` bytes into the page and charges one page
@@ -63,10 +65,9 @@ class Disk {
   /// Charges one page read exactly like ReadPage but returns a direct
   /// pointer to the page bytes instead of copying them out. Pages are
   /// individually heap-allocated, so the pointer stays valid until the
-  /// page is freed AND re-allocated; callers must not hold it past a
-  /// FreePage of the file it belongs to. This is the zero-copy scan
-  /// path: the simulated cost is identical to ReadPage, only the host
-  /// memcpy is skipped.
+  /// page is freed; callers must not hold it past a FreePage of the file
+  /// it belongs to. This is the zero-copy scan path: the simulated cost
+  /// is identical to ReadPage, only the host memcpy is skipped.
   Status ReadPageRef(PageId id, const uint8_t** out,
                      AccessPattern pattern) const;
 

@@ -59,7 +59,11 @@ class MemoryBroker {
   /// Observability: lifetime bytes spooled out of build memory to
   /// overflow files (spill) and re-read from them into a later
   /// sub-join (refill). Recorded by the engine at its existing charge
-  /// sites; never affects admission.
+  /// sites, always on the entry of the node whose task does the
+  /// spooling or re-reading — an outer-side spill is booked on the
+  /// producing node, not the join process's node — so the single-writer
+  /// rule above holds. Only the totals are read; never affects
+  /// admission.
   void NoteSpill(int node, uint64_t bytes) {
     entries_[Index(node)].spill_bytes += bytes;
   }

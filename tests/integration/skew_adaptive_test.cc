@@ -38,7 +38,8 @@ struct RunOutput {
 /// memory ratio leaves headroom so heavy-bin replication is
 /// byte-feasible and the plan never defers to the overflow protocol.
 void RunZipfJoin(join::Algorithm algorithm, bool adaptive, int threads,
-                 const sim::FaultPlan* faults, RunOutput* out) {
+                 const sim::FaultPlan* faults, RunOutput* out,
+                 bool bit_filters = false) {
   sim::MachineConfig config = testing::SmallConfig(kNumNodes);
   config.num_threads = threads;
   sim::Machine machine(config);
@@ -63,6 +64,7 @@ void RunZipfJoin(join::Algorithm algorithm, bool adaptive, int threads,
   spec.algorithm = algorithm;
   spec.memory_ratio = 2.0;
   spec.adaptive_repartition = adaptive;
+  spec.use_bit_filters = bit_filters;
   spec.result_name = "result";
   auto output = join::ExecuteJoin(machine, catalog, spec);
   ASSERT_TRUE(output.ok()) << output.status().ToString();
@@ -109,27 +111,54 @@ TEST(SkewAdaptiveTest, PlanFiresAndPreservesResults) {
   }
 }
 
-TEST(SkewAdaptiveTest, MetricsByteIdenticalAcrossThreadCounts) {
+/// Clean and crash-mid-rebalance adaptive runs at 4 and 8 threads must
+/// match the serial run byte for byte, and the plan must fire.
+void ExpectThreadCountInvariant(bool bit_filters) {
   for (join::Algorithm algorithm : kAllAlgorithms) {
     SCOPED_TRACE(join::AlgorithmName(algorithm));
     const sim::FaultPlan faults = CrashMidRebalance(1);
     RunOutput clean_base, faulted_base;
     RunZipfJoin(algorithm, /*adaptive=*/true, /*threads=*/1, nullptr,
-                &clean_base);
+                &clean_base, bit_filters);
     RunZipfJoin(algorithm, /*adaptive=*/true, /*threads=*/1, &faults,
-                &faulted_base);
-    if (HasFatalFailure()) return;
+                &faulted_base, bit_filters);
+    if (::testing::Test::HasFatalFailure()) return;
+    EXPECT_GT(clean_base.stats.rebalance_moved_tuples, 0);
     for (int threads : {4, 8}) {
       SCOPED_TRACE(threads);
       RunOutput clean, faulted;
-      RunZipfJoin(algorithm, /*adaptive=*/true, threads, nullptr, &clean);
-      RunZipfJoin(algorithm, /*adaptive=*/true, threads, &faults, &faulted);
-      if (HasFatalFailure()) return;
+      RunZipfJoin(algorithm, /*adaptive=*/true, threads, nullptr, &clean,
+                  bit_filters);
+      RunZipfJoin(algorithm, /*adaptive=*/true, threads, &faults, &faulted,
+                  bit_filters);
+      if (::testing::Test::HasFatalFailure()) return;
       EXPECT_EQ(clean.metrics_json, clean_base.metrics_json);
       EXPECT_EQ(clean.rows, clean_base.rows);
       EXPECT_EQ(faulted.metrics_json, faulted_base.metrics_json);
       EXPECT_EQ(faulted.rows, faulted_base.rows);
     }
+  }
+}
+
+TEST(SkewAdaptiveTest, MetricsByteIdenticalAcrossThreadCounts) {
+  ExpectThreadCountInvariant(/*bit_filters=*/false);
+}
+
+/// Migrated residents must land in the filter slice of their new home
+/// (sort-merge sets those bits as they arrive, the hash engines rebuild
+/// the filter from post-migration residency); a stale bit would drop
+/// results, a racy one would break the invariance.
+TEST(SkewAdaptiveTest, MetricsByteIdenticalAcrossThreadCountsWithBitFilters) {
+  ExpectThreadCountInvariant(/*bit_filters=*/true);
+  for (join::Algorithm algorithm : kAllAlgorithms) {
+    SCOPED_TRACE(join::AlgorithmName(algorithm));
+    RunOutput fixed, adaptive;
+    RunZipfJoin(algorithm, /*adaptive=*/false, /*threads=*/4, nullptr, &fixed,
+                /*bit_filters=*/true);
+    RunZipfJoin(algorithm, /*adaptive=*/true, /*threads=*/4, nullptr,
+                &adaptive, /*bit_filters=*/true);
+    if (HasFatalFailure()) return;
+    EXPECT_EQ(adaptive.rows, fixed.rows);
   }
 }
 

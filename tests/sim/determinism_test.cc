@@ -1,8 +1,9 @@
 // The executor determinism contract (DESIGN.md): RunMetrics is a pure
 // function of the query plan, never of the thread count. Every join
-// algorithm, with and without HPJA declustering and under
-// overflow-inducing memory pressure, must produce byte-identical
-// metrics JSON at 1, 4 and 8 executor threads.
+// algorithm, with and without HPJA declustering, under
+// overflow-inducing memory pressure, and (hash joins) at diskless join
+// processors, must produce byte-identical metrics JSON and JoinStats
+// at 1, 4 and 8 executor threads.
 //
 // This is what lets one checked-in serial baseline gate threaded CI
 // runs (tools/bench_diff), and what makes pooled execution safe as the
@@ -27,23 +28,46 @@ struct Scenario {
   bool hpja;             // partition field == join attribute?
   double memory_ratio;   // joining memory / |R|
   double memory_slack;   // 0 forces hash-table overflow at low ratios
+  /// Join at 4 diskless processors: every overflow spool and refill
+  /// crosses the network. Skipped for sort-merge, which always joins at
+  /// the disk nodes.
+  bool remote = false;
 };
 
 const Scenario kScenarios[] = {
     {"hpja", true, 1.0, 0.35},
     {"non_hpja", false, 1.0, 0.35},
     {"overflow", true, 0.15, 0.0},
+    {"non_hpja_overflow", false, 0.15, 0.0},
+    {"remote_overflow", true, 0.15, 0.0, /*remote=*/true},
 };
 
+/// The JoinStats fields a benchmark serializes beside the metrics (the
+/// broker's spill/refill ledger among them), as one comparable string.
+std::string StatsString(const join::JoinStats& s) {
+  return "levels=" + std::to_string(s.overflow_levels) +
+         " events=" + std::to_string(s.overflow_events) +
+         " drops=" + std::to_string(s.filter_drops) +
+         " nl=" + std::to_string(s.nested_loop_fallbacks) + "/" +
+         std::to_string(s.nested_loop_passes) +
+         " spill=" + std::to_string(s.spill_bytes) +
+         " refill=" + std::to_string(s.refill_bytes) +
+         " moved=" + std::to_string(s.rebalance_moved_tuples) +
+         " chain=" + std::to_string(s.avg_chain_length) + "/" +
+         std::to_string(s.max_chain_length);
+}
+
 /// Runs joinABprime under `scenario` with `threads` executor threads
-/// and returns the serialized RunMetrics JSON plus the canonical result
-/// rows. A non-null `faults` is armed after the load (fault ordinals
-/// count query events).
+/// and returns the serialized RunMetrics JSON (followed by the
+/// StatsString) plus the canonical result rows. A non-null `faults` is
+/// armed after the load (fault ordinals count query events).
 void RunScenario(const Scenario& scenario, join::Algorithm algorithm,
                  int threads, std::string* metrics_json,
                  std::vector<std::string>* result_rows,
-                 const sim::FaultPlan* faults = nullptr) {
-  sim::MachineConfig config = testing::SmallConfig(4);
+                 const sim::FaultPlan* faults = nullptr,
+                 join::JoinStats* stats = nullptr) {
+  sim::MachineConfig config =
+      testing::SmallConfig(4, scenario.remote ? 4 : 0);
   config.num_threads = threads;
   sim::Machine machine(config);
   db::Catalog catalog;
@@ -63,6 +87,7 @@ void RunScenario(const Scenario& scenario, join::Algorithm algorithm,
   spec.inner_relation = "Bprime";
   spec.outer_relation = "A";
   spec.algorithm = algorithm;
+  if (scenario.remote) spec.join_nodes = machine.DisklessNodeIds();
   spec.memory_ratio = scenario.memory_ratio;
   spec.memory_slack = scenario.memory_slack;
   spec.use_bit_filters = true;
@@ -70,7 +95,9 @@ void RunScenario(const Scenario& scenario, join::Algorithm algorithm,
   auto output = join::ExecuteJoin(machine, catalog, spec);
   ASSERT_TRUE(output.ok()) << output.status().ToString();
 
-  *metrics_json = sim::RunMetricsToJson(output->metrics).Dump();
+  *metrics_json = sim::RunMetricsToJson(output->metrics).Dump() + "\n" +
+                  StatsString(output->stats);
+  if (stats != nullptr) *stats = output->stats;
   auto rel = catalog.Get("result");
   ASSERT_TRUE(rel.ok());
   *result_rows = testing::Canonical((*rel)->PeekAllTuples());
@@ -81,13 +108,24 @@ TEST(DeterminismTest, MetricsJsonIsThreadCountInvariant) {
        {join::Algorithm::kSortMerge, join::Algorithm::kSimpleHash,
         join::Algorithm::kGraceHash, join::Algorithm::kHybridHash}) {
     for (const Scenario& scenario : kScenarios) {
+      if (scenario.remote && algorithm == join::Algorithm::kSortMerge) {
+        continue;
+      }
       SCOPED_TRACE(std::string(join::AlgorithmName(algorithm)) + " / " +
                    scenario.name);
       std::string serial_json;
       std::vector<std::string> serial_rows;
-      RunScenario(scenario, algorithm, 1, &serial_json, &serial_rows);
+      join::JoinStats serial_stats;
+      RunScenario(scenario, algorithm, 1, &serial_json, &serial_rows, nullptr,
+                  &serial_stats);
       if (HasFatalFailure()) return;
       EXPECT_FALSE(serial_rows.empty());
+      // The overflow scenarios must reach the spill ledger the matrix is
+      // there to check (sort-merge has no hash-table overflow).
+      if (scenario.memory_slack == 0 &&
+          algorithm != join::Algorithm::kSortMerge) {
+        EXPECT_GT(serial_stats.spill_bytes, 0);
+      }
       for (int threads : {4, 8}) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
         std::string pooled_json;
