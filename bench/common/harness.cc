@@ -323,8 +323,10 @@ join::JoinOutput Workload::RunCustom(
     bool remote_join_nodes,
     const std::function<void(join::JoinSpec&)>& mutate) {
   join::JoinSpec spec;
-  spec.inner_relation = "Bprime";
-  spec.outer_relation = "A";
+  // Move-assigned temporaries here and below: assigning the literals
+  // directly trips GCC 12's -Wrestrict false positive at -O3.
+  spec.inner_relation = std::string("Bprime");
+  spec.outer_relation = std::string("A");
   const int default_field = options_.hpja ? wisconsin::fields::kUnique1
                                           : wisconsin::fields::kUnique2;
   spec.inner_field = default_field;
@@ -476,8 +478,8 @@ join::JoinOutput SkewBench::Run(join::Algorithm algorithm, JoinType type,
   join::JoinSpec spec;
   const bool inner_normal = type == JoinType::kNU || type == JoinType::kNN;
   const bool outer_normal = type == JoinType::kUN || type == JoinType::kNN;
-  spec.inner_relation = inner_normal ? "B_n" : "B_u";
-  spec.outer_relation = outer_normal ? "A_n" : "A_u";
+  spec.inner_relation = std::string(inner_normal ? "B_n" : "B_u");
+  spec.outer_relation = std::string(outer_normal ? "A_n" : "A_u");
   spec.inner_field = inner_normal ? wisconsin::fields::kNormal
                                   : wisconsin::fields::kUnique1;
   spec.outer_field = outer_normal ? wisconsin::fields::kNormal
@@ -537,8 +539,8 @@ ZipfBench::ZipfBench(double theta)
 join::JoinOutput ZipfBench::Run(join::Algorithm algorithm, bool adaptive,
                                 double memory_ratio, bool bit_filters) {
   join::JoinSpec spec;
-  spec.inner_relation = "B_z";
-  spec.outer_relation = "A_z";
+  spec.inner_relation = std::string("B_z");
+  spec.outer_relation = std::string("A_z");
   spec.inner_field = wisconsin::fields::kNormal;
   spec.outer_field = wisconsin::fields::kNormal;
   spec.algorithm = algorithm;

@@ -15,7 +15,6 @@
 #include "join/hash_table.h"
 #include "sim/exchange.h"
 #include "sim/machine.h"
-#include "storage/btree.h"
 #include "storage/external_sort.h"
 #include "storage/heap_file.h"
 #include "wisconsin/wisconsin.h"
@@ -156,38 +155,6 @@ void BM_WisconsinGenerate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_WisconsinGenerate)->Arg(10000);
-
-void BM_BPlusTreeInsert(benchmark::State& state) {
-  Rng rng(5);
-  for (auto _ : state) {
-    storage::BPlusTree tree(&BenchMachine().node(0));
-    for (int64_t i = 0; i < state.range(0); ++i) {
-      tree.Insert(static_cast<int32_t>(rng.Uniform(1u << 20)),
-                  static_cast<uint64_t>(i));
-    }
-    benchmark::DoNotOptimize(tree.size());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_BPlusTreeInsert)->Arg(10000);
-
-void BM_BPlusTreeSearch(benchmark::State& state) {
-  storage::BPlusTree tree(&BenchMachine().node(0));
-  Rng rng(6);
-  for (int i = 0; i < 20000; ++i) {
-    tree.Insert(static_cast<int32_t>(rng.Uniform(1u << 20)),
-                static_cast<uint64_t>(i));
-  }
-  for (auto _ : state) {
-    size_t hits = 0;
-    for (int i = 0; i < 1000; ++i) {
-      hits += tree.Search(static_cast<int32_t>(rng.Uniform(1u << 20))).size();
-    }
-    benchmark::DoNotOptimize(hits);
-  }
-  state.SetItemsProcessed(state.iterations() * 1000);
-}
-BENCHMARK(BM_BPlusTreeSearch);
 
 void BM_HeapFileAppendScan(benchmark::State& state) {
   const auto tuples = BenchTuples(static_cast<uint32_t>(state.range(0)));

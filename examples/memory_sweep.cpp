@@ -44,8 +44,8 @@ int main(int argc, char** argv) {
     std::printf("%-8.3f", ratio);
     for (join::Algorithm algorithm : algorithms) {
       join::JoinSpec spec;
-      spec.inner_relation = "Bprime";
-      spec.outer_relation = "A";
+      spec.inner_relation = std::string("Bprime");
+      spec.outer_relation = std::string("A");
       spec.algorithm = algorithm;
       spec.memory_ratio = ratio;
       spec.result_name = "sweep_result";

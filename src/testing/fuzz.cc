@@ -14,6 +14,7 @@
 #include "join/driver.h"
 #include "sim/fault.h"
 #include "sim/machine.h"
+#include "sim/metrics_json.h"
 #include "storage/schema.h"
 #include "storage/tuple.h"
 #include "testing/oracle.h"
@@ -93,8 +94,10 @@ Status LoadFuzzRelation(db::StoredRelation* rel,
 join::JoinSpec BuildSpec(const FuzzConfig& config, const sim::Machine& machine,
                          uint64_t inner_bytes, uint32_t inner_tuple_bytes) {
   join::JoinSpec spec;
-  spec.inner_relation = "R";
-  spec.outer_relation = "S";
+  // Move-assigned temporaries: assigning the literals directly trips
+  // GCC 12's -Wrestrict false positive inside std::string at -O3.
+  spec.inner_relation = std::string("R");
+  spec.outer_relation = std::string("S");
   spec.inner_field = 0;
   spec.outer_field = 0;
   spec.algorithm = config.algorithm;
@@ -142,13 +145,21 @@ T PickFrom(Rng& rng, std::initializer_list<T> values) {
   return begin[rng.Uniform(values.size())];
 }
 
-}  // namespace
+/// The engine-side outcome of one execution.
+struct Execution {
+  join::ResultDigest engine;
+  join::ResultDigest stored;
+  std::string metrics;
+};
 
-Result<FuzzRunResult> RunFuzzConfig(const FuzzConfig& config) {
+/// Executes `config` at `threads` executor threads on a fresh machine +
+/// catalog. Computes the oracle digest into `oracle` unless it is null.
+Result<Execution> Execute(const FuzzConfig& config, int threads,
+                          join::ResultDigest* oracle) {
   sim::MachineConfig mc;
   mc.num_disk_nodes = kNumDiskNodes;
   mc.num_diskless_nodes = config.remote ? kNumRemoteNodes : 0;
-  mc.num_threads = config.threads;
+  mc.num_threads = threads;
   sim::Machine machine(mc);
   db::Catalog catalog;
 
@@ -170,8 +181,9 @@ Result<FuzzRunResult> RunFuzzConfig(const FuzzConfig& config) {
   const join::JoinSpec spec =
       BuildSpec(config, machine, inner->total_bytes(), r_schema.tuple_bytes());
 
-  FuzzRunResult result;
-  GAMMA_ASSIGN_OR_RETURN(result.oracle, OracleJoinDigest(catalog, spec));
+  if (oracle != nullptr) {
+    GAMMA_ASSIGN_OR_RETURN(*oracle, OracleJoinDigest(catalog, spec));
+  }
 
   if (config.fault_seed != 0) {
     sim::FaultPlan::RandomOptions fo;
@@ -184,12 +196,51 @@ Result<FuzzRunResult> RunFuzzConfig(const FuzzConfig& config) {
   if (!out.result_digest.has_value()) {
     return Status::Internal("capture_results produced no digest");
   }
-  result.engine = *out.result_digest;
-
+  Execution run;
+  run.engine = *out.result_digest;
   GAMMA_ASSIGN_OR_RETURN(db::StoredRelation * stored,
                          catalog.Get(out.result_relation));
-  result.stored = DigestStoredResult(*stored, r_schema, spec.inner_field);
+  run.stored = DigestStoredResult(*stored, r_schema, spec.inner_field);
+  run.metrics = MetricsRecord(out);
+  return run;
+}
 
+}  // namespace
+
+std::string MetricsRecord(const join::JoinOutput& out) {
+  const join::JoinStats& s = out.stats;
+  return sim::RunMetricsToJson(out.metrics).Dump() + "\n" +
+         "buckets=" + std::to_string(s.num_buckets) +
+         " levels=" + std::to_string(s.overflow_levels) +
+         " events=" + std::to_string(s.overflow_events) +
+         " chain=" + std::to_string(s.avg_chain_length) + "/" +
+         std::to_string(s.max_chain_length) +
+         " sort_passes=" + std::to_string(s.inner_sort_passes) + "/" +
+         std::to_string(s.outer_sort_passes) +
+         " results=" + std::to_string(s.result_tuples) +
+         " drops=" + std::to_string(s.filter_drops) +
+         " rebalance=" + std::to_string(s.rebalance_plans) + "/" +
+         std::to_string(s.rebalance_moved_tuples) + "/" +
+         std::to_string(s.rebalance_replica_tuples) +
+         " nl=" + std::to_string(s.nested_loop_fallbacks) + "/" +
+         std::to_string(s.nested_loop_passes) +
+         " spill=" + std::to_string(s.spill_bytes) +
+         " refill=" + std::to_string(s.refill_bytes);
+}
+
+Result<FuzzRunResult> RunFuzzConfig(const FuzzConfig& config) {
+  FuzzRunResult result;
+  GAMMA_ASSIGN_OR_RETURN(Execution run,
+                         Execute(config, config.threads, &result.oracle));
+  result.engine = run.engine;
+  result.stored = run.stored;
+  result.metrics = std::move(run.metrics);
+  if (config.threads == 1) {
+    result.serial_metrics = result.metrics;
+  } else {
+    GAMMA_ASSIGN_OR_RETURN(Execution serial, Execute(config, 1, nullptr));
+    result.serial_metrics = std::move(serial.metrics);
+  }
   if (InjectedMismatch(config)) result.engine.xor_mix ^= 1;
   return result;
 }

@@ -1,8 +1,9 @@
 // Randomized differential join fuzzing (docs/testing.md): seeded plan
 // generation over every axis the four algorithms branch on, execution
 // against a fresh simulated machine, digest comparison against the
-// nested-loop oracle, and greedy shrinking of failures to a minimal
-// ready-to-paste repro line. Library form so both tools/join_fuzz and
+// nested-loop oracle, a byte comparison of the metrics against a
+// 1-thread rerun (the determinism contract), and greedy shrinking of
+// failures to a minimal ready-to-paste repro line. Library form so both tools/join_fuzz and
 // the unit tests drive identical code.
 #ifndef GAMMA_TESTING_FUZZ_H_
 #define GAMMA_TESTING_FUZZ_H_
@@ -79,18 +80,30 @@ FuzzConfig RandomConfig(uint64_t seed);
 /// weighted toward values that force the nested-loop fallback.
 FuzzConfig RandomDeepOverflowConfig(uint64_t seed);
 
+/// What the determinism contract (DESIGN.md) keeps byte-identical at
+/// every thread count: the serialized RunMetrics JSON, a newline, and
+/// the JoinStats fields as one "key=value ..." line.
+std::string MetricsRecord(const join::JoinOutput& out);
+
 struct FuzzRunResult {
   join::ResultDigest oracle;
   /// Digest streamed out of the engines via JoinSpec::capture_results.
   join::ResultDigest engine;
   /// Digest recomputed from the stored result relation on disk.
   join::ResultDigest stored;
-  bool ok() const { return oracle == engine && oracle == stored; }
+  /// MetricsRecord of the run at FuzzConfig::threads, and of the same
+  /// config rerun on a fresh 1-thread machine (the same run when
+  /// threads == 1).
+  std::string metrics;
+  std::string serial_metrics;
+  bool digests_ok() const { return oracle == engine && oracle == stored; }
+  bool ok() const { return digests_ok() && metrics == serial_metrics; }
 };
 
-/// Runs one config end to end on a fresh machine + catalog. Non-OK only
-/// on infrastructure failure (the generator emits valid plans); a digest
-/// mismatch is reported through FuzzRunResult::ok().
+/// Runs one config end to end on a fresh machine + catalog, and once
+/// more at 1 thread when FuzzConfig::threads != 1. Non-OK only on
+/// infrastructure failure (the generator emits valid plans); a digest
+/// or metrics mismatch is reported through FuzzRunResult::ok().
 Result<FuzzRunResult> RunFuzzConfig(const FuzzConfig& config);
 
 struct ShrinkResult {

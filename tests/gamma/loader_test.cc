@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/hash.h"
+#include "common/strings.h"
 #include "sim/machine.h"
 #include "wisconsin/wisconsin.h"
 
@@ -14,7 +15,7 @@ class LoaderTest : public ::testing::Test {
   LoaderTest() : machine_(sim::MachineConfig{4, 0, sim::CostModel{}, 1}) {}
 
   StoredRelation* CreateAndLoad(const LoadOptions& options, uint32_t n = 4000) {
-    auto rel = catalog_.Create(machine_, "r" + std::to_string(counter_++),
+    auto rel = catalog_.Create(machine_, StrFormat("r%d", counter_++),
                                wisconsin::WisconsinSchema());
     EXPECT_TRUE(rel.ok());
     wisconsin::GenOptions gen;

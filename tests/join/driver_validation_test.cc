@@ -23,8 +23,8 @@ class DriverValidationTest : public ::testing::Test {
 
   JoinSpec ValidSpec() {
     JoinSpec spec;
-    spec.inner_relation = "Bprime";
-    spec.outer_relation = "A";
+    spec.inner_relation = std::string("Bprime");
+    spec.outer_relation = std::string("A");
     return spec;
   }
 
@@ -34,7 +34,7 @@ class DriverValidationTest : public ::testing::Test {
 
 TEST_F(DriverValidationTest, UnknownRelation) {
   JoinSpec spec = ValidSpec();
-  spec.inner_relation = "nope";
+  spec.inner_relation = std::string("nope");
   EXPECT_EQ(ExecuteJoin(machine_, catalog_, spec).status().code(),
             StatusCode::kNotFound);
 }
@@ -93,7 +93,7 @@ TEST_F(DriverValidationTest, CapacityBelowOneTuple) {
 
 TEST_F(DriverValidationTest, ResultNameCollision) {
   JoinSpec spec = ValidSpec();
-  spec.result_name = "A";  // already exists
+  spec.result_name = std::string("A");  // already exists
   EXPECT_EQ(ExecuteJoin(machine_, catalog_, spec).status().code(),
             StatusCode::kAlreadyExists);
 }

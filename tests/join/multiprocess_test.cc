@@ -28,8 +28,8 @@ class MultiProcessJoinTest : public ::testing::Test {
 
   JoinOutput MustJoin(const std::function<void(JoinSpec&)>& mutate) {
     JoinSpec spec;
-    spec.inner_relation = "Bprime";
-    spec.outer_relation = "A";
+    spec.inner_relation = std::string("Bprime");
+    spec.outer_relation = std::string("A");
     spec.algorithm = Algorithm::kHybridHash;
     spec.result_name = "mp_result";
     mutate(spec);

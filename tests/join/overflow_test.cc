@@ -24,8 +24,8 @@ class OverflowTest : public ::testing::Test {
 
   JoinOutput MustJoin(const std::function<void(JoinSpec&)>& mutate) {
     JoinSpec spec;
-    spec.inner_relation = "Bprime";
-    spec.outer_relation = "A";
+    spec.inner_relation = std::string("Bprime");
+    spec.outer_relation = std::string("A");
     spec.algorithm = Algorithm::kSimpleHash;
     spec.result_name = "result";
     mutate(spec);

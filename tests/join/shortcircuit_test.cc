@@ -28,8 +28,8 @@ class ShortCircuitTest : public ::testing::Test {
   JoinOutput MustJoin(Algorithm algorithm, bool hpja, double ratio,
                       bool remote_join) {
     JoinSpec spec;
-    spec.inner_relation = "Bprime";
-    spec.outer_relation = "A";
+    spec.inner_relation = std::string("Bprime");
+    spec.outer_relation = std::string("A");
     const int field = hpja ? wisconsin::fields::kUnique1
                            : wisconsin::fields::kUnique2;
     spec.inner_field = field;

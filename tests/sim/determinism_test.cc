@@ -16,7 +16,7 @@
 #include "gamma/catalog.h"
 #include "join/driver.h"
 #include "sim/machine.h"
-#include "sim/metrics_json.h"
+#include "testing/fuzz.h"
 #include "testing/test_util.h"
 #include "wisconsin/wisconsin.h"
 
@@ -42,24 +42,9 @@ const Scenario kScenarios[] = {
     {"remote_overflow", true, 0.15, 0.0, /*remote=*/true},
 };
 
-/// The JoinStats fields a benchmark serializes beside the metrics (the
-/// broker's spill/refill ledger among them), as one comparable string.
-std::string StatsString(const join::JoinStats& s) {
-  return "levels=" + std::to_string(s.overflow_levels) +
-         " events=" + std::to_string(s.overflow_events) +
-         " drops=" + std::to_string(s.filter_drops) +
-         " nl=" + std::to_string(s.nested_loop_fallbacks) + "/" +
-         std::to_string(s.nested_loop_passes) +
-         " spill=" + std::to_string(s.spill_bytes) +
-         " refill=" + std::to_string(s.refill_bytes) +
-         " moved=" + std::to_string(s.rebalance_moved_tuples) +
-         " chain=" + std::to_string(s.avg_chain_length) + "/" +
-         std::to_string(s.max_chain_length);
-}
-
 /// Runs joinABprime under `scenario` with `threads` executor threads
-/// and returns the serialized RunMetrics JSON (followed by the
-/// StatsString) plus the canonical result rows. A non-null `faults` is
+/// and returns its MetricsRecord (the serialized RunMetrics JSON
+/// followed by the JoinStats fields) plus the canonical result rows. A non-null `faults` is
 /// armed after the load (fault ordinals count query events).
 void RunScenario(const Scenario& scenario, join::Algorithm algorithm,
                  int threads, std::string* metrics_json,
@@ -84,8 +69,8 @@ void RunScenario(const Scenario& scenario, join::Algorithm algorithm,
   if (faults != nullptr) machine.ArmFaults(*faults);
 
   join::JoinSpec spec;
-  spec.inner_relation = "Bprime";
-  spec.outer_relation = "A";
+  spec.inner_relation = std::string("Bprime");
+  spec.outer_relation = std::string("A");
   spec.algorithm = algorithm;
   if (scenario.remote) spec.join_nodes = machine.DisklessNodeIds();
   spec.memory_ratio = scenario.memory_ratio;
@@ -95,8 +80,7 @@ void RunScenario(const Scenario& scenario, join::Algorithm algorithm,
   auto output = join::ExecuteJoin(machine, catalog, spec);
   ASSERT_TRUE(output.ok()) << output.status().ToString();
 
-  *metrics_json = sim::RunMetricsToJson(output->metrics).Dump() + "\n" +
-                  StatsString(output->stats);
+  *metrics_json = testing::MetricsRecord(*output);
   if (stats != nullptr) *stats = output->stats;
   auto rel = catalog.Get("result");
   ASSERT_TRUE(rel.ok());
@@ -209,8 +193,8 @@ TEST(DeterminismTest, OverflowScenarioDoesOverflow) {
   ASSERT_TRUE(loaded.ok());
 
   join::JoinSpec spec;
-  spec.inner_relation = "Bprime";
-  spec.outer_relation = "A";
+  spec.inner_relation = std::string("Bprime");
+  spec.outer_relation = std::string("A");
   spec.algorithm = join::Algorithm::kSimpleHash;
   spec.memory_ratio = 0.15;
   spec.memory_slack = 0.0;

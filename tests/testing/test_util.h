@@ -60,8 +60,10 @@ inline wisconsin::DatasetOptions ABprimeDataset() {
 inline join::JoinSpec ABprimeSpec(join::Algorithm algorithm,
                                   double memory_ratio) {
   join::JoinSpec spec;
-  spec.inner_relation = "Bprime";
-  spec.outer_relation = "A";
+  // Move-assigned temporaries: assigning the literals directly trips
+  // GCC 12's -Wrestrict false positive inside std::string at -O3.
+  spec.inner_relation = std::string("Bprime");
+  spec.outer_relation = std::string("A");
   spec.algorithm = algorithm;
   spec.memory_ratio = memory_ratio;
   spec.use_bit_filters = true;

@@ -67,6 +67,41 @@ TEST(RandomConfig, SeededBatchMatchesOracle) {
   }
 }
 
+TEST(RunFuzzConfig, ThreadedMetricsMatchOneThreadRerun) {
+  // An overflow-heavy config at 4 threads on diskless join processors:
+  // every spill and refill crosses the network, and the metrics record
+  // (the spill/refill ledger included) must equal the 1-thread rerun
+  // byte for byte.
+  FuzzConfig config;
+  config.data_seed = 11;
+  config.algorithm = join::Algorithm::kHybridHash;
+  config.threads = 4;
+  config.inner_tuples = 600;
+  config.outer_tuples = 1000;
+  config.key_domain = 100;
+  config.memory_pct = 15;
+  config.zero_slack = true;
+  config.remote = true;
+  const Result<FuzzRunResult> run = RunFuzzConfig(config);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_TRUE(run->ok()) << config.ToReproString();
+  EXPECT_EQ(run->metrics, run->serial_metrics);
+  EXPECT_NE(run->metrics.find("\"response_seconds\""), std::string::npos);
+  // The config reaches the spill ledger the comparison is there to check.
+  EXPECT_EQ(run->metrics.find(" spill=0 "), std::string::npos)
+      << run->metrics;
+}
+
+TEST(FuzzRunResult, MetricsMismatchFailsWithMatchingDigests) {
+  FuzzRunResult run;
+  run.metrics = "{}\nspill=1";
+  run.serial_metrics = "{}\nspill=2";
+  EXPECT_TRUE(run.digests_ok());
+  EXPECT_FALSE(run.ok());
+  run.serial_metrics = run.metrics;
+  EXPECT_TRUE(run.ok());
+}
+
 TEST(ShrinkFailure, ConvergesToMinimalInjectedMismatch) {
   // The injected-mismatch hook only fires for bit_filters && inner>=2 &&
   // outer>=32, so a correct greedy shrinker must land exactly on that

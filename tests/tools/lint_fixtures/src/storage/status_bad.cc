@@ -1,14 +1,12 @@
 // Seeded violations: error/discarded-status. MightFail is declared to
-// return Status, so both discard shapes below are rejected: the
-// `(void)` cast (weak-registry rule — the cast itself signals a
-// Status-returning callee) and the bare expression statement
-// (strict-registry rule — every collected MightFail declaration
-// returns Status).
+// return Status, so both casts below are rejected. A bare
+// `MightFail(3);` is not linted: [[nodiscard]] makes it a build error
+// under -DGAMMA_WERROR=ON.
 #include "common/status.h"
 
 gammadb::Status MightFail(int v);
 
 void Caller() {
   (void)MightFail(1);
-  MightFail(2);
+  static_cast<void>(MightFail(2));
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cctype>
+#include <map>
 
 #include "common/strings.h"
 
@@ -278,8 +279,6 @@ int TopLevelCommas(const std::vector<Token>& t, size_t open) {
 
 struct CallChain {
   std::string final_name;  // name of the last call in the chain
-  int name_line = 0;
-  int name_col = 0;
   size_t end = 0;  // index of the terminator token (';' or ')')
 };
 
@@ -293,8 +292,6 @@ bool ParseCallChain(const std::vector<Token>& t, size_t i,
                     std::string_view terminator, CallChain* out) {
   if (i >= t.size() || t[i].kind != TokenKind::kIdentifier) return false;
   std::string name = t[i].text;
-  int nl = t[i].line;
-  int nc = t[i].col;
   size_t j = i + 1;
   bool last_was_call = false;
   while (j < t.size()) {
@@ -306,8 +303,6 @@ bool ParseCallChain(const std::vector<Token>& t, size_t i,
     if ((IsPunct(t[j], ".") || IsPunct(t[j], "->") || IsPunct(t[j], "::")) &&
         j + 1 < t.size() && t[j + 1].kind == TokenKind::kIdentifier) {
       name = t[j + 1].text;
-      nl = t[j + 1].line;
-      nc = t[j + 1].col;
       j += 2;
       last_was_call = false;
       continue;
@@ -318,8 +313,6 @@ bool ParseCallChain(const std::vector<Token>& t, size_t i,
     return false;
   }
   out->final_name = std::move(name);
-  out->name_line = nl;
-  out->name_col = nc;
   out->end = j;
   return true;
 }
@@ -521,7 +514,7 @@ void CheckDiscardedStatus(const std::string& file,
         IsPunct(t[i + 2], ")")) {
       CallChain chain;
       if (ParseCallChain(t, i + 3, ";", &chain) &&
-          registry.weak.count(chain.final_name) != 0) {
+          registry.names.count(chain.final_name) != 0) {
         Add(out, kRuleStatus, file, t[i], "(void)" + chain.final_name,
             "(void)-cast discards the Status of " + chain.final_name +
                 "(): propagate it, or document the discard with "
@@ -534,7 +527,7 @@ void CheckDiscardedStatus(const std::string& file,
         IsPunct(t[i + 3], ">") && IsPunct(t[i + 4], "(")) {
       CallChain chain;
       if (ParseCallChain(t, i + 5, ")", &chain) &&
-          registry.weak.count(chain.final_name) != 0) {
+          registry.names.count(chain.final_name) != 0) {
         Add(out, kRuleStatus, file, t[i],
             "static_cast<void>(" + chain.final_name + ")",
             "static_cast<void> discards the Status of " + chain.final_name +
@@ -542,24 +535,6 @@ void CheckDiscardedStatus(const std::string& file,
                 ".IgnoreError()");
       }
     }
-  }
-  // Bare expression-statement drops: `chain(...);` at statement scope
-  // where the final callee's every known declaration returns Status.
-  for (size_t i = 0; i < t.size(); ++i) {
-    const bool at_statement_start =
-        i == 0 || IsPunct(t[i - 1], ";") || IsPunct(t[i - 1], "{") ||
-        IsPunct(t[i - 1], "}") || IsPunct(t[i - 1], ")") ||
-        IsIdent(t[i - 1], "else") || IsIdent(t[i - 1], "do");
-    if (!at_statement_start) continue;
-    CallChain chain;
-    if (!ParseCallChain(t, i, ";", &chain)) continue;
-    if (registry.strict.count(chain.final_name) == 0) continue;
-    out->push_back(Finding{kRuleStatus, file, chain.name_line, chain.name_col,
-                           chain.final_name,
-                           "Status returned by " + chain.final_name +
-                               "() is dropped: check it, propagate it "
-                               "(GAMMA_RETURN_IF_ERROR), or document the "
-                               "discard with .IgnoreError()"});
   }
 }
 
@@ -704,9 +679,6 @@ std::string ExpectedGuard(const std::string& relpath) {
 
 void RegistryBuilder::Scan(std::string_view source) {
   const std::vector<Token> t = Tokenize(source);
-  static const std::set<std::string> kNotATypePrefix = {
-      "return", "co_return", "throw",  "new",    "delete", "case",
-      "goto",   "else",      "sizeof", "typedef"};
   for (size_t i = 0; i + 1 < t.size(); ++i) {
     if (t[i].kind != TokenKind::kIdentifier) continue;
     // `Status Name(` / `Status Qualified::Name(`
@@ -721,7 +693,7 @@ void RegistryBuilder::Scan(std::string_view source) {
           j += 2;
         }
         if (j < t.size() && IsPunct(t[j], "(")) {
-          ++counts_[name].first;
+          registry_.names.insert(name);
         }
       }
       continue;
@@ -749,30 +721,10 @@ void RegistryBuilder::Scan(std::string_view source) {
       }
       if (j + 1 < t.size() && t[j].kind == TokenKind::kIdentifier &&
           IsPunct(t[j + 1], "(")) {
-        ++counts_[t[j].text].first;
+        registry_.names.insert(t[j].text);
       }
-      continue;
-    }
-    // Other two-identifier declarations: `void Name(`, `int Name(`, ...
-    // Over-approximate on the "other" side only: misclassifying a
-    // non-declaration here can only shrink the strict set (fewer lint
-    // findings), never add a false positive.
-    if (t[i + 1].kind == TokenKind::kIdentifier && i + 2 < t.size() &&
-        IsPunct(t[i + 2], "(") && kNotATypePrefix.count(t[i].text) == 0 &&
-        t[i].text != "Status" && t[i].text != "Result") {
-      ++counts_[t[i + 1].text].second;
     }
   }
-}
-
-StatusRegistry RegistryBuilder::Build() const {
-  StatusRegistry registry;
-  for (const auto& [name, c] : counts_) {
-    if (c.first == 0) continue;
-    registry.weak.insert(name);
-    if (c.second == 0) registry.strict.insert(name);
-  }
-  return registry;
 }
 
 // ---------------------------------------------------------------------------
@@ -907,7 +859,7 @@ std::string ApplyFixes(const std::string& relpath, std::string source,
       }
       CallChain chain;
       if (!ParseCallChain(t, i + 3, ";", &chain)) continue;
-      if (registry.weak.count(chain.final_name) == 0) continue;
+      if (registry.names.count(chain.final_name) == 0) continue;
       edits.push_back(Edit{t[i].offset,
                            t[i + 2].offset + t[i + 2].text.size(),
                            t[chain.end].offset});

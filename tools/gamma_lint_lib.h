@@ -18,7 +18,6 @@
 #ifndef GAMMA_TOOLS_GAMMA_LINT_LIB_H_
 #define GAMMA_TOOLS_GAMMA_LINT_LIB_H_
 
-#include <map>
 #include <set>
 #include <string>
 #include <string_view>
@@ -79,30 +78,27 @@ inline constexpr const char* kRuleAllow = "allowlist/unused-entry";
 // Status-function registry
 
 /// Function names known to return Status / Result<T>, collected by
-/// scanning declarations across the tree. `weak` holds names with at
-/// least one Status-returning declaration (used for the `(void)` rule,
-/// where the cast itself signals intent); `strict` holds names whose
-/// every collected declaration returns Status/Result (used for the
-/// bare-call rule, so an unrelated void overload elsewhere cannot cause
-/// a false positive — the compiler's [[nodiscard]] remains the
-/// authoritative check for those).
+/// scanning declarations across the tree: every name with at least one
+/// Status-returning declaration. The `(void)` rule reads it; the cast
+/// itself signals intent, so an unrelated void overload of the same
+/// name cannot cause a false positive there. Bare dropped calls are
+/// left to the compiler: Status and Result are [[nodiscard]], and CI
+/// builds with -Werror.
 struct StatusRegistry {
-  std::set<std::string> strict;
-  std::set<std::string> weak;
+  std::set<std::string> names;
 };
 
-/// Accumulates declaration scans; Build() resolves strict/weak sets.
+/// Accumulates declaration scans into a StatusRegistry.
 class RegistryBuilder {
  public:
   /// Scans one file's source for function declarations/definitions and
-  /// records, per function name, how many return Status/Result vs. not.
+  /// records the names of those returning Status/Result.
   void Scan(std::string_view source);
 
-  StatusRegistry Build() const;
+  StatusRegistry Build() const { return registry_; }
 
  private:
-  // name -> {status_returning_decls, other_decls}
-  std::map<std::string, std::pair<int, int>> counts_;
+  StatusRegistry registry_;
 };
 
 // ---------------------------------------------------------------------------

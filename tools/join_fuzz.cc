@@ -1,12 +1,15 @@
 // Differential join fuzzer (docs/testing.md): runs seeded random join
 // plans through all four parallel algorithms and compares every result
-// digest against the single-process nested-loop oracle. On a mismatch
-// the failing config is greedily shrunk to a locally-minimal repro and
-// printed as a ready-to-paste --repro line.
+// digest against the single-process nested-loop oracle, and the metrics
+// of every multi-threaded config against a 1-thread rerun. On a
+// mismatch the failing config is greedily shrunk to a locally-minimal
+// repro and printed as a ready-to-paste --repro line.
 //
-// Exit codes: 0 = every config matched the oracle; 1 = a mismatch was
+// Exit codes: 0 = every config matched the oracle and its 1-thread
+// metrics; 1 = a mismatch was
 // found (shrunk repro printed, and written to --repro-out if given);
 // 2 = usage or infrastructure error.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -51,6 +54,21 @@ void PrintMismatch(const FuzzConfig& config, const FuzzRunResult& run) {
   std::printf("  oracle: %s\n", run.oracle.ToString().c_str());
   std::printf("  engine: %s\n", run.engine.ToString().c_str());
   std::printf("  stored: %s\n", run.stored.ToString().c_str());
+  if (run.metrics != run.serial_metrics) {
+    // Both records share a prefix up to the first differing byte; show
+    // each from a little before it.
+    const auto diff = std::mismatch(run.metrics.begin(), run.metrics.end(),
+                                    run.serial_metrics.begin(),
+                                    run.serial_metrics.end());
+    const size_t at = static_cast<size_t>(diff.first - run.metrics.begin());
+    const size_t from = at < 40 ? 0 : at - 40;
+    std::printf("  metrics differ from the 1-thread rerun at byte %zu:\n",
+                at);
+    std::printf("    threads=%d: ...%s\n", config.threads,
+                run.metrics.substr(from, 120).c_str());
+    std::printf("    threads=1: ...%s\n",
+                run.serial_metrics.substr(from, 120).c_str());
+  }
 }
 
 /// Shrinks (unless disabled), prints the final repro line, writes the
@@ -176,7 +194,8 @@ int main(int argc, char** argv) {
                   static_cast<long long>(count));
     }
   }
-  std::printf("all %lld configs matched the oracle\n",
+  std::printf("all %lld configs matched the oracle and their 1-thread "
+              "metrics\n",
               static_cast<long long>(count));
   return 0;
 }
