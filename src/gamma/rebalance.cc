@@ -234,7 +234,7 @@ bool Rebalancer::Decide(sim::Machine& machine,
                         const std::vector<const HashHistogram*>& histograms,
                         size_t num_producers, uint64_t bytes_per_tuple,
                         uint64_t capacity_bytes_per_process,
-                        const RebalanceOptions& options, bool keep_static) {
+                        bool keep_static) {
   GAMMA_CHECK_EQ(process_nodes.size(), histograms.size());
   Reset();
   const size_t num_processes = process_nodes.size();
@@ -256,7 +256,8 @@ bool Rebalancer::Decide(sim::Machine& machine,
   });
   if (!keep_static) {
     plan_ = ComputeRebalancePlan(counts, bytes_per_tuple,
-                                 capacity_bytes_per_process, options);
+                                 capacity_bytes_per_process,
+                                 RebalanceOptions{});
   }
   ChargeRebalance(machine, static_cast<int>(num_processes),
                   static_cast<int>(num_producers), plan_.SerializedBytes());

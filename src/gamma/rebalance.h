@@ -36,9 +36,6 @@
 namespace gammadb::db {
 
 struct RebalanceOptions {
-  /// Gather statistics and consider a rebalance plan at all. Off by
-  /// default: the static-routing code path stays byte-identical.
-  bool enabled = false;
   /// Minimum (max process load / mean process load) under static
   /// routing for a plan to be worth installing.
   double imbalance_threshold = 1.2;
@@ -116,17 +113,16 @@ class Rebalancer {
   /// (`process_nodes[p]`) scans `histograms[p]`, the resident
   /// histogram of its building relation, charging one compare per bin,
   /// and ships the counts to the scheduler, which computes a plan
-  /// (ComputeRebalancePlan) unless `keep_static` and broadcasts the
-  /// verdict to the processes and `num_producers` producers. An active
-  /// plan counts one rebalance_plans on the first process's node and
-  /// seeds each producer's round-robin cursors with its index, so
-  /// routing is identical at any thread count. Returns whether a plan
-  /// is active.
+  /// (ComputeRebalancePlan with the default RebalanceOptions) unless
+  /// `keep_static` and broadcasts the verdict to the processes and
+  /// `num_producers` producers. An active plan counts one
+  /// rebalance_plans on the first process's node and seeds each
+  /// producer's round-robin cursors with its index, so routing is
+  /// identical at any thread count. Returns whether a plan is active.
   bool Decide(sim::Machine& machine, const std::vector<int>& process_nodes,
               const std::vector<const HashHistogram*>& histograms,
               size_t num_producers, uint64_t bytes_per_tuple,
-              uint64_t capacity_bytes_per_process,
-              const RebalanceOptions& options, bool keep_static);
+              uint64_t capacity_bytes_per_process, bool keep_static);
 
   const RebalancePlan& plan() const { return plan_; }
 

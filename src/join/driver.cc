@@ -60,10 +60,8 @@ Status ValidateField(const db::StoredRelation* rel, int field,
   return Status::OK();
 }
 
-Status RunSimple(sim::Machine& machine, HashJoinEngine& engine,
-                 const db::StoredRelation* inner,
+Status RunSimple(HashJoinEngine& engine, const db::StoredRelation* inner,
                  const db::StoredRelation* outer, const JoinSpec& spec) {
-  (void)machine;
   return engine.RunSubJoin(
       "simple", engine.RelationProducers(inner, &spec.inner_predicate),
       engine.RelationProducers(outer, &spec.outer_predicate), spec.hash_seed);
@@ -242,8 +240,7 @@ Result<JoinOutput> ExecuteJoin(sim::Machine& machine, db::Catalog& catalog,
                              spec.use_bit_filters,
                              spec.hash_seed,
                              result};
-      params.rebalance = spec.rebalance;
-      params.rebalance.enabled = spec.adaptive_repartition;
+      params.adaptive_repartition = spec.adaptive_repartition;
       params.capture = capture_ptr;
       return RunSortMergeJoin(machine, params, &stats);
     }
@@ -260,8 +257,7 @@ Result<JoinOutput> ExecuteJoin(sim::Machine& machine, db::Catalog& catalog,
     config.capacity_bytes_per_node = capacity_per_node;
     config.use_bit_filters = spec.use_bit_filters;
     config.use_forming_bit_filters = spec.use_forming_bit_filters;
-    config.rebalance = spec.rebalance;
-    config.rebalance.enabled = spec.adaptive_repartition;
+    config.adaptive_repartition = spec.adaptive_repartition;
     config.max_overflow_levels = spec.max_overflow_levels;
     config.broker = &*broker;
     config.result = result;
@@ -273,7 +269,7 @@ Result<JoinOutput> ExecuteJoin(sim::Machine& machine, db::Catalog& catalog,
     switch (spec.algorithm) {
       case Algorithm::kSimpleHash:
         stats.num_buckets = 1;
-        run_status = RunSimple(machine, engine, inner, outer, spec);
+        run_status = RunSimple(engine, inner, outer, spec);
         break;
       case Algorithm::kGraceHash:
       case Algorithm::kHybridHash: {

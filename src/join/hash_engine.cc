@@ -85,6 +85,7 @@ HashJoinEngine::HashJoinEngine(sim::Machine* machine, Config config)
   GAMMA_CHECK(!config_.disk_nodes.empty());
   GAMMA_CHECK(config_.result != nullptr);
   GAMMA_CHECK(config_.stats != nullptr);
+  GAMMA_CHECK(config_.broker != nullptr);
   jstate_.resize(config_.join_nodes.size());
   // "different overflow files are assigned to different disks". A join
   // process running on a disk node spools to its own disk (for local
@@ -185,7 +186,7 @@ void HashJoinEngine::SpoolToOverflow(sim::Node& from, size_t ji,
   // spooling task's own node (for an outer-side spool that is the
   // producer, which must not touch the join node's entry). Accounting
   // only — the write itself is charged by the disk-side drain.
-  if (config_.broker != nullptr) config_.broker->NoteSpill(from.id(), bytes);
+  config_.broker->NoteSpill(from.id(), bytes);
   overflow_exchange_.Send(from.id(), jstate_[ji].host_disk_node,
                           OverflowMsg{std::move(t),
                                       static_cast<int32_t>(ji), is_inner},
@@ -333,7 +334,7 @@ void HashJoinEngine::CollectChainStats() {
 }
 
 Status HashJoinEngine::MaybeRebalance(const std::string& label) {
-  if (!config_.rebalance.enabled) return Status::OK();
+  if (!config_.adaptive_repartition) return Status::OK();
   machine_->BeginPhase(label);
 
   // An overflow-engaged sub-join keeps the static route: overflow files
@@ -348,8 +349,7 @@ Status HashJoinEngine::MaybeRebalance(const std::string& label) {
   if (rebalancer_.Decide(*machine_, config_.join_nodes, histograms,
                          config_.disk_nodes.size(),
                          config_.inner_schema->tuple_bytes(),
-                         config_.capacity_bytes_per_node, config_.rebalance,
-                         overflow_engaged)) {
+                         config_.capacity_bytes_per_node, overflow_engaged)) {
     // Round A: every process extracts its overridden-bin residents and
     // ships a view to each destination (possibly itself — a
     // short-circuited local delivery). The extracted tuples are parked
@@ -584,7 +584,7 @@ Status HashJoinEngine::PartitionPhase(const std::string& label,
   // keyed by join-process index, so they must be built from the
   // residency AFTER any heavy-bin migration.
   if (side == Side::kInner && table.HasImmediateBucket()) {
-    if (config_.rebalance.enabled) {
+    if (config_.adaptive_repartition) {
       build_finalize_deferred_ = true;
     } else {
       if (config_.use_bit_filters) BuildFilterFromResidents();
@@ -692,9 +692,7 @@ Status HashJoinEngine::ResolveOverflows(const std::string& label,
                     inner_side ? taken[ji].r.get() : taken[ji].s.get();
                 if (file == nullptr) continue;
                 GAMMA_RETURN_IF_ERROR(file->FlushAppends());
-                if (config_.broker != nullptr) {
-                  config_.broker->NoteRefill(n.id(), file->data_bytes());
-                }
+                config_.broker->NoteRefill(n.id(), file->data_bytes());
                 GAMMA_RETURN_IF_ERROR(ScanBlocks(n, *file, yield));
               }
               return Status::OK();
@@ -759,9 +757,7 @@ Status HashJoinEngine::NestedLoopFallback(const std::string& label,
                   inner_side ? taken[ji].r.get() : taken[ji].s.get();
               if (file == nullptr) continue;
               GAMMA_RETURN_IF_ERROR(file->FlushAppends());
-              if (config_.broker != nullptr) {
-                config_.broker->NoteRefill(n.id(), file->data_bytes());
-              }
+              config_.broker->NoteRefill(n.id(), file->data_bytes());
               exchange_.ReserveRow(n.id(), file->tuple_count());
               const storage::Schema& schema = inner_side
                                                   ? *config_.inner_schema

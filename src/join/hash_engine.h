@@ -120,19 +120,18 @@ class HashJoinEngine {
     /// a filter built while the inner relation's buckets formed.
     bool use_forming_bit_filters = false;
     /// Extension: skew-aware adaptive repartitioning (docs/skew.md).
-    /// When rebalance.enabled, each sub-join gathers resident histogram
-    /// counts after its build and may install a heavy-bin override
-    /// table before the probing phase (MaybeRebalance).
-    db::RebalanceOptions rebalance;
+    /// When set, each sub-join gathers resident histogram counts after
+    /// its build and may install a heavy-bin override table before the
+    /// probing phase (MaybeRebalance).
+    bool adaptive_repartition = false;
     /// Bound on overflow-resolution recursion depth before the
     /// block-nested-loop fallback engages (JoinSpec::max_overflow_levels;
     /// docs/overflow.md). Must be >= 0; 0 sends the first overflow
     /// straight to the fallback.
     int max_overflow_levels = 16;
-    /// Optional per-node build-memory broker (sim/memory_broker.h).
-    /// When set, hash-table admission draws on the owning node's shared
-    /// budget (instead of a private per-process ledger) and overflow
-    /// spill/refill bytes are recorded on it.
+    /// Per-node build-memory broker (sim/memory_broker.h); required.
+    /// Hash-table admission draws on the owning node's shared budget,
+    /// and overflow spill/refill bytes are recorded on it.
     sim::MemoryBroker* broker = nullptr;
     db::StoredRelation* result;  // fragments parallel to disk_nodes
     JoinStats* stats;
@@ -172,7 +171,7 @@ class HashJoinEngine {
   /// replicates the overridden residents, and installs the plan for the
   /// probing phase — all inside its own charged phase whose label
   /// contains "rebalance" (fault injection can target it). A no-op
-  /// returning OK when config.rebalance.enabled is false.
+  /// returning OK when config.adaptive_repartition is false.
   Status MaybeRebalance(const std::string& label);
 
   /// Joins overflow files recursively with a fresh (level-mixed) hash
@@ -206,9 +205,6 @@ class HashJoinEngine {
 
   /// Flushes the result relation's partial pages (one final phase).
   Status FinalizeResult();
-
-  /// True if the benchmark-visible hash chains statistics have data.
-  const JoinStats& stats() const { return *config_.stats; }
 
  private:
   struct JoinNodeState {

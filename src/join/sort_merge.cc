@@ -123,7 +123,7 @@ Status RunSortMergeJoin(sim::Machine& machine, const SortMergeParams& params,
   // it arrives (free alongside the append, like the hash tables'
   // overflow histograms); the plan computed from those counts overrides
   // heavy bins' routing for S and redistributes R' before sorting.
-  const bool adaptive = params.rebalance.enabled && d >= 2;
+  const bool adaptive = params.adaptive_repartition && d >= 2;
   std::vector<HashHistogram> site_hist(adaptive ? d : 0);
   db::Rebalancer rebalancer;
 
@@ -266,7 +266,7 @@ Status RunSortMergeJoin(sim::Machine& machine, const SortMergeParams& params,
       Status reb_status;
       if (rebalancer.Decide(machine, disks, histograms, d,
                             r_schema.tuple_bytes(), UINT64_MAX,
-                            params.rebalance, /*keep_static=*/false)) {
+                            /*keep_static=*/false)) {
         // Round A: every site rewrites its R' — overridden bins ship a
         // view to each destination, the rest land in the replacement
         // file. An honest full read + rewrite of R', charged as such.

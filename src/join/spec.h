@@ -11,7 +11,6 @@
 
 #include "common/hash.h"
 #include "gamma/predicate.h"
-#include "gamma/rebalance.h"
 #include "join/digest.h"
 #include "sim/metrics.h"
 
@@ -79,9 +78,6 @@ struct JoinSpec {
   /// migration and broadcast work is charged through the cost model.
   /// Works for all four algorithms; no-op on skew-free inputs.
   bool adaptive_repartition = false;
-  /// Thresholds for the rebalance decision (enabled is derived from
-  /// adaptive_repartition; the flag here is ignored).
-  db::RebalanceOptions rebalance;
 
   /// Grace/Hybrid: overrides the optimizer's ceil(|R| / memory) choice.
   std::optional<int> num_buckets;

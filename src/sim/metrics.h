@@ -26,7 +26,6 @@ namespace gammadb::sim {
 /// back into any cost.
 enum class CostCategory : uint8_t {
   kDiskSeq = 0,   // sequential page device time
-  kDiskRand,      // random page device time
   kIoIssue,       // CPU issuing a page I/O (buffer manager, WiSS call)
   kReadTuple,     // extracting a tuple from a page
   kWriteTuple,    // copying a tuple into an output/temp page
@@ -37,7 +36,6 @@ enum class CostCategory : uint8_t {
   kSortCompare,   // compares inside sort run formation / merge
   kBuildResult,   // composing a result tuple
   kPredicate,     // selection predicate evaluation
-  kAggregate,     // aggregate accumulator update
   kFilterOp,      // bit-vector-filter set/test
   kNetSend,       // remote-packet send protocol CPU
   kNetRecv,       // remote-packet receive protocol CPU
@@ -55,7 +53,6 @@ inline constexpr size_t kNumCostCategories =
 inline const char* CostCategoryName(CostCategory category) {
   switch (category) {
     case CostCategory::kDiskSeq: return "disk_seq";
-    case CostCategory::kDiskRand: return "disk_rand";
     case CostCategory::kIoIssue: return "io_issue";
     case CostCategory::kReadTuple: return "read_tuple";
     case CostCategory::kWriteTuple: return "write_tuple";
@@ -66,7 +63,6 @@ inline const char* CostCategoryName(CostCategory category) {
     case CostCategory::kSortCompare: return "sort_compare";
     case CostCategory::kBuildResult: return "build_result";
     case CostCategory::kPredicate: return "predicate";
-    case CostCategory::kAggregate: return "aggregate";
     case CostCategory::kFilterOp: return "filter_op";
     case CostCategory::kNetSend: return "net_send";
     case CostCategory::kNetRecv: return "net_recv";

@@ -150,6 +150,8 @@ struct Execution {
   join::ResultDigest engine;
   join::ResultDigest stored;
   std::string metrics;
+  int64_t spill_bytes = 0;
+  int64_t refill_bytes = 0;
 };
 
 /// Executes `config` at `threads` executor threads on a fresh machine +
@@ -202,6 +204,8 @@ Result<Execution> Execute(const FuzzConfig& config, int threads,
                          catalog.Get(out.result_relation));
   run.stored = DigestStoredResult(*stored, r_schema, spec.inner_field);
   run.metrics = MetricsRecord(out);
+  run.spill_bytes = out.stats.spill_bytes;
+  run.refill_bytes = out.stats.refill_bytes;
   return run;
 }
 
@@ -235,6 +239,8 @@ Result<FuzzRunResult> RunFuzzConfig(const FuzzConfig& config) {
   result.engine = run.engine;
   result.stored = run.stored;
   result.metrics = std::move(run.metrics);
+  result.spill_bytes = run.spill_bytes;
+  result.refill_bytes = run.refill_bytes;
   if (config.threads == 1) {
     result.serial_metrics = result.metrics;
   } else {

@@ -96,14 +96,23 @@ struct FuzzRunResult {
   /// threads == 1).
   std::string metrics;
   std::string serial_metrics;
+  /// JoinStats spill/refill ledger of the run at FuzzConfig::threads.
+  /// Every byte spooled to an overflow file is drained back into a join
+  /// exactly once, so a successful join has spill == refill.
+  int64_t spill_bytes = 0;
+  int64_t refill_bytes = 0;
   bool digests_ok() const { return oracle == engine && oracle == stored; }
-  bool ok() const { return digests_ok() && metrics == serial_metrics; }
+  bool ok() const {
+    return digests_ok() && metrics == serial_metrics &&
+           spill_bytes == refill_bytes;
+  }
 };
 
 /// Runs one config end to end on a fresh machine + catalog, and once
 /// more at 1 thread when FuzzConfig::threads != 1. Non-OK only on
 /// infrastructure failure (the generator emits valid plans); a digest
-/// or metrics mismatch is reported through FuzzRunResult::ok().
+/// or metrics mismatch, or a spill/refill imbalance, is reported
+/// through FuzzRunResult::ok().
 Result<FuzzRunResult> RunFuzzConfig(const FuzzConfig& config);
 
 struct ShrinkResult {

@@ -28,8 +28,8 @@ class SortMergeJoinTest : public ::testing::Test {
 
   JoinOutput MustJoin(const std::function<void(JoinSpec&)>& mutate) {
     JoinSpec spec;
-    spec.inner_relation = "Bprime";
-    spec.outer_relation = "A";
+    spec.inner_relation = std::string("Bprime");
+    spec.outer_relation = std::string("A");
     spec.algorithm = Algorithm::kSortMerge;
     spec.result_name = "sm_result";
     mutate(spec);

@@ -105,10 +105,12 @@ TEST(DeterminismTest, MetricsJsonIsThreadCountInvariant) {
       if (HasFatalFailure()) return;
       EXPECT_FALSE(serial_rows.empty());
       // The overflow scenarios must reach the spill ledger the matrix is
-      // there to check (sort-merge has no hash-table overflow).
+      // there to check (sort-merge has no hash-table overflow), and
+      // every spilled byte is refilled exactly once.
       if (scenario.memory_slack == 0 &&
           algorithm != join::Algorithm::kSortMerge) {
         EXPECT_GT(serial_stats.spill_bytes, 0);
+        EXPECT_EQ(serial_stats.spill_bytes, serial_stats.refill_bytes);
       }
       for (int threads : {4, 8}) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
@@ -203,6 +205,8 @@ TEST(DeterminismTest, OverflowScenarioDoesOverflow) {
   auto output = join::ExecuteJoin(machine, catalog, spec);
   ASSERT_TRUE(output.ok()) << output.status().ToString();
   EXPECT_GT(output->stats.overflow_events, 0);
+  EXPECT_GT(output->stats.spill_bytes, 0);
+  EXPECT_EQ(output->stats.spill_bytes, output->stats.refill_bytes);
 }
 
 }  // namespace

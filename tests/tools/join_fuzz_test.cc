@@ -90,6 +90,8 @@ TEST(RunFuzzConfig, ThreadedMetricsMatchOneThreadRerun) {
   // The config reaches the spill ledger the comparison is there to check.
   EXPECT_EQ(run->metrics.find(" spill=0 "), std::string::npos)
       << run->metrics;
+  EXPECT_GT(run->spill_bytes, 0);
+  EXPECT_EQ(run->spill_bytes, run->refill_bytes);
 }
 
 TEST(FuzzRunResult, MetricsMismatchFailsWithMatchingDigests) {
@@ -99,6 +101,19 @@ TEST(FuzzRunResult, MetricsMismatchFailsWithMatchingDigests) {
   EXPECT_TRUE(run.digests_ok());
   EXPECT_FALSE(run.ok());
   run.serial_metrics = run.metrics;
+  EXPECT_TRUE(run.ok());
+}
+
+TEST(FuzzRunResult, SpillRefillImbalanceFailsWithMatchingDigestsAndMetrics) {
+  FuzzRunResult run;
+  run.metrics = "{}\nspill=8192 refill=8192";
+  run.serial_metrics = run.metrics;
+  run.spill_bytes = 8192;
+  run.refill_bytes = 8192 - 208;
+  EXPECT_TRUE(run.digests_ok());
+  EXPECT_EQ(run.metrics, run.serial_metrics);
+  EXPECT_FALSE(run.ok());
+  run.refill_bytes = run.spill_bytes;
   EXPECT_TRUE(run.ok());
 }
 

@@ -1,14 +1,15 @@
 // Differential join fuzzer (docs/testing.md): runs seeded random join
 // plans through all four parallel algorithms and compares every result
-// digest against the single-process nested-loop oracle, and the metrics
-// of every multi-threaded config against a 1-thread rerun. On a
+// digest against the single-process nested-loop oracle, the metrics of
+// every multi-threaded config against a 1-thread rerun, and the bytes
+// spilled to overflow files against the bytes refilled from them. On a
 // mismatch the failing config is greedily shrunk to a locally-minimal
 // repro and printed as a ready-to-paste --repro line.
 //
 // Exit codes: 0 = every config matched the oracle and its 1-thread
-// metrics; 1 = a mismatch was
-// found (shrunk repro printed, and written to --repro-out if given);
-// 2 = usage or infrastructure error.
+// metrics and refilled every spilled byte; 1 = a mismatch was found
+// (shrunk repro printed, and written to --repro-out if given); 2 =
+// usage or infrastructure error.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -68,6 +69,11 @@ void PrintMismatch(const FuzzConfig& config, const FuzzRunResult& run) {
                 run.metrics.substr(from, 120).c_str());
     std::printf("    threads=1: ...%s\n",
                 run.serial_metrics.substr(from, 120).c_str());
+  }
+  if (run.spill_bytes != run.refill_bytes) {
+    std::printf("  spill_bytes %lld != refill_bytes %lld\n",
+                static_cast<long long>(run.spill_bytes),
+                static_cast<long long>(run.refill_bytes));
   }
 }
 
@@ -195,7 +201,7 @@ int main(int argc, char** argv) {
     }
   }
   std::printf("all %lld configs matched the oracle and their 1-thread "
-              "metrics\n",
+              "metrics, with spill == refill\n",
               static_cast<long long>(count));
   return 0;
 }
