@@ -30,10 +30,11 @@ struct SiteState {
 };
 
 /// Streams two sorted inputs and joins them. Duplicate inner keys are
-/// buffered as a group (no disk back-up needed); reading stops as soon
-/// as the inner stream is exhausted, which is what lets skewed (NU)
-/// inner relations skip the tail of the outer relation (paper
-/// Section 4.4).
+/// buffered as a group of record pointers (no disk back-up or copy
+/// needed: a sort stream's records stay valid while the stream lives);
+/// reading stops as soon as the inner stream is exhausted, which is
+/// what lets skewed (NU) inner relations skip the tail of the outer
+/// relation (paper Section 4.4).
 template <typename EmitFn>
 void MergeJoinStreams(sim::Node& node, storage::TupleStream* r_stream,
                       storage::TupleStream* s_stream,
@@ -44,34 +45,42 @@ void MergeJoinStreams(sim::Node& node, storage::TupleStream* r_stream,
     node.ChargeCpu(node.cost().cpu_compare_seconds,
                    sim::CostCategory::kCompare);
   };
-  storage::Tuple r, s;
-  bool rv = r_stream->Next(&r);
-  bool sv = s_stream->Next(&s);
+  const auto r_key = [&r_schema, r_field](const uint8_t* r) {
+    return r_schema.GetInt32(r, static_cast<size_t>(r_field));
+  };
+  const auto s_key = [&s_schema, s_field](const uint8_t* s) {
+    return s_schema.GetInt32(s, static_cast<size_t>(s_field));
+  };
+  const uint8_t* r = nullptr;
+  const uint8_t* s = nullptr;
+  std::vector<const uint8_t*> group;  // reused across duplicate groups
+  bool rv = r_stream->NextRecord(&r);
+  bool sv = s_stream->NextRecord(&s);
   while (rv && sv) {
-    const int32_t rk = r.GetInt32(r_schema, static_cast<size_t>(r_field));
-    const int32_t sk = s.GetInt32(s_schema, static_cast<size_t>(s_field));
+    const int32_t rk = r_key(r);
+    const int32_t sk = s_key(s);
     charge_compare();
     if (rk < sk) {
-      rv = r_stream->Next(&r);
+      rv = r_stream->NextRecord(&r);
     } else if (rk > sk) {
-      sv = s_stream->Next(&s);
+      sv = s_stream->NextRecord(&s);
     } else {
       // Gather the inner duplicate group for this key.
-      std::vector<storage::Tuple> group;
+      group.clear();
       group.push_back(r);
-      while ((rv = r_stream->Next(&r))) {
+      while ((rv = r_stream->NextRecord(&r))) {
         charge_compare();
-        if (r.GetInt32(r_schema, static_cast<size_t>(r_field)) != rk) break;
+        if (r_key(r) != rk) break;
         group.push_back(r);
       }
       // Join every outer tuple with this key against the group.
       while (sv) {
-        if (s.GetInt32(s_schema, static_cast<size_t>(s_field)) != rk) break;
-        for (const storage::Tuple& g : group) {
+        if (s_key(s) != rk) break;
+        for (const uint8_t* g : group) {
           charge_compare();
           emit(g, s);
         }
-        sv = s_stream->Next(&s);
+        sv = s_stream->NextRecord(&s);
         if (sv) charge_compare();
       }
     }
@@ -370,10 +379,11 @@ Status RunSortMergeJoin(sim::Machine& machine, const SortMergeParams& params,
           MergeJoinStreams(
               n, r_stream.get(), s_stream.get(), r_schema, params.inner_field,
               s_schema, params.outer_field,
-              [&](const storage::Tuple& r, const storage::Tuple& s) {
+              [&](const uint8_t* r, const uint8_t* s) {
                 n.ChargeCpu(n.cost().cpu_build_result_seconds,
                             sim::CostCategory::kBuildResult);
-                storage::Tuple result = storage::Tuple::Concat(r, s);
+                storage::Tuple result = storage::Tuple::Concat(
+                    r, r_schema.tuple_bytes(), s, s_schema.tuple_bytes());
                 ++n.counters().result_tuples;
                 const size_t target = sites[di].store_rr_next++ % d;
                 const uint32_t bytes = result.size();

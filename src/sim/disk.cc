@@ -1,6 +1,5 @@
 #include "sim/disk.h"
 
-#include <cstring>
 #include <string>
 
 #include "common/logging.h"
@@ -10,20 +9,6 @@
 namespace gammadb::sim {
 
 Disk::Disk(Node* owner, const CostModel* cost) : owner_(owner), cost_(cost) {}
-
-PageId Disk::AllocatePage() {
-  PageId id;
-  if (free_list_.empty()) {
-    id = static_cast<PageId>(pages_.size());
-    pages_.emplace_back();
-  } else {
-    id = free_list_.back();
-    free_list_.pop_back();
-  }
-  pages_[id] = std::make_unique_for_overwrite<uint8_t[]>(cost_->page_bytes);
-  std::memset(pages_[id].get(), 0, cost_->page_bytes);
-  return id;
-}
 
 void Disk::FreePage(PageId id) {
   GAMMA_DCHECK(id < pages_.size());
@@ -65,11 +50,19 @@ Status Disk::RunIoAttempts(bool is_write) const {
   }
 }
 
-Status Disk::WritePage(PageId id, const uint8_t* data) {
-  GAMMA_DCHECK(id < pages_.size());
+Result<PageId> Disk::WriteNewPage(std::unique_ptr<uint8_t[]>* image) {
+  GAMMA_DCHECK(*image != nullptr);
   GAMMA_RETURN_IF_ERROR(RunIoAttempts(/*is_write=*/true));
-  std::memcpy(pages_[id].get(), data, cost_->page_bytes);
-  return Status::OK();
+  PageId id;
+  if (free_list_.empty()) {
+    id = static_cast<PageId>(pages_.size());
+    pages_.emplace_back();
+  } else {
+    id = free_list_.back();
+    free_list_.pop_back();
+  }
+  pages_[id] = std::move(*image);
+  return id;
 }
 
 Status Disk::ReadPageRef(PageId id, const uint8_t** out) const {

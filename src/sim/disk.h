@@ -37,20 +37,19 @@ class Disk {
   Disk(const Disk&) = delete;
   Disk& operator=(const Disk&) = delete;
 
-  /// Allocates one page (zero-filled). Allocation itself is free; the
-  /// cost is paid when the page is read or written.
-  PageId AllocatePage();
-
   /// Releases a page: its memory goes back to the host allocator (so a
   /// dropped temp file pins no host memory) and its id to the free pool.
   /// Freeing is free (Gamma temp files are dropped by catalog
   /// operations, not per-page I/O).
   void FreePage(PageId id);
 
-  /// Copies `cost().page_bytes` bytes into the page and charges one page
-  /// write to the owning node. Fails with Status::Unavailable when an
-  /// armed fault plan exhausts the retry budget.
-  Status WritePage(PageId id, const uint8_t* data);
+  /// Charges one page write to the owning node and stores `*image` (a
+  /// buffer of `cost().page_bytes` bytes) as a new page, returning its
+  /// id. The disk ADOPTS the buffer instead of copying it: on success
+  /// `*image` is left empty. Fails with Status::Unavailable when an
+  /// armed fault plan exhausts the retry budget; `*image` is then left
+  /// untouched, so the writer still holds the page and can retry.
+  Result<PageId> WriteNewPage(std::unique_ptr<uint8_t[]>* image);
 
   /// Charges one page read to the owning node and returns a direct
   /// pointer to the page bytes (no copy). Pages are individually

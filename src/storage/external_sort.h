@@ -1,16 +1,18 @@
 // External merge sort: the WiSS "sort utility" used by the parallel
 // sort-merge join (paper Section 3.1).
 //
-// Run formation fills a memory buffer of `memory_pages` pages, sorts it
+// Run formation packs incoming records into a byte arena of
+// `memory_pages` pages, sorts 8-byte (key, slot) entries over it
 // (comparison costs are charged from actual comparator invocations) and
-// spills a sorted run to disk. If everything fits in the buffer the sort
-// stays in memory and no run I/O is paid. Intermediate merge passes run
-// with fan-in = memory_pages - 1 (one output buffer) until the remaining
-// runs can be merged in a single pass; that final merge is *streamed* to
-// the consumer (the merge join), which both saves the last write+read
-// pass and lets a consumer that stops early (skewed inner exhausted)
-// avoid reading the tail of the data — the effect behind sort-merge's
-// surprising NU speedup in Table 3 of the paper.
+// spills the records, in entry order, as a sorted run to disk. If
+// everything fits in the arena the sort stays in memory and no run I/O
+// is paid. Intermediate merge passes run with fan-in = memory_pages - 1
+// (one output buffer) until the remaining runs can be merged in a
+// single pass; that final merge is *streamed* to the consumer (the
+// merge join), which both saves the last write+read pass and lets a
+// consumer that stops early (skewed inner exhausted) avoid reading the
+// tail of the data — the effect behind sort-merge's surprising NU
+// speedup in Table 3 of the paper.
 //
 // The number of merge passes grows stepwise as memory shrinks, which is
 // exactly the staircase in the paper's sort-merge response-time curves.
@@ -52,7 +54,9 @@ class ExternalSort {
   Status FinishInput();
 
   /// Sorted output stream (single final merge or in-memory). May only be
-  /// called once.
+  /// called once. Its record pointers point into run pages (freed by
+  /// ~ExternalSort) or into the in-memory arena (owned by the stream),
+  /// so they stay valid while both the sort and the stream live.
   std::unique_ptr<TupleStream> OpenStream();
 
   /// Effective full passes over the data performed by intermediate
@@ -68,7 +72,15 @@ class ExternalSort {
   size_t run_count() const { return runs_.size(); }
   size_t tuple_count() const { return tuple_count_; }
 
+  /// One buffered record: its sort key and its slot in the arena.
+  struct SortEntry {
+    int32_t key;
+    uint32_t slot;
+  };
+
  private:
+  /// Buffers one serialized record; spills a run when the buffer fills.
+  Status AddRecord(const uint8_t* record);
   void SortBuffer();
   Status SpillRun();
   /// Merges `group` into `out` (a fresh run); frees the inputs on
@@ -77,11 +89,13 @@ class ExternalSort {
 
   sim::Node* node_;
   const Schema* schema_;
-  int key_field_;
   uint32_t memory_pages_;
+  uint32_t record_bytes_;
+  uint32_t key_offset_;
   size_t buffer_capacity_tuples_;
 
-  std::vector<Tuple> buffer_;
+  std::vector<uint8_t> arena_;      // buffered records, slot-major
+  std::vector<SortEntry> entries_;  // one per buffered record
   std::vector<HeapFile> runs_;
   size_t tuple_count_ = 0;
   uint64_t intermediate_merged_tuples_ = 0;

@@ -15,15 +15,11 @@ HeapFile::~HeapFile() {
 }
 
 Status HeapFile::WritePendingPage() {
-  const sim::PageId id = node_->disk().AllocatePage();
-  const Status write = node_->disk().WritePage(id, writer_->Finish());
-  if (!write.ok()) {
-    // The page's tuples stay buffered in the writer; tuple_count_
-    // already counts them, so the file is consistent and the next
-    // Append/FlushAppends retries the write.
-    node_->disk().FreePage(id);
-    return write;
-  }
+  // On failure the disk leaves the image with the writer: the page's
+  // tuples stay buffered, tuple_count_ already counts them, so the file
+  // is consistent and the next Append/FlushAppends retries the write.
+  GAMMA_ASSIGN_OR_RETURN(const sim::PageId id,
+                         node_->disk().WriteNewPage(writer_->Finish()));
   pages_.push_back(id);
   writer_->Reset();
   return Status::OK();
@@ -87,16 +83,22 @@ bool HeapFile::Scanner::LoadNextPage() {
   return true;
 }
 
-bool HeapFile::Scanner::Next(Tuple* out) {
+bool HeapFile::Scanner::NextRecord(const uint8_t** out) {
   while (next_slot_ >= page_tuples_) {
     if (!LoadNextPage()) return false;
   }
   PageReader reader(page_data_, file_->schema_->tuple_bytes());
-  const uint8_t* rec = reader.Record(next_slot_);
+  *out = reader.Record(next_slot_);
   ++next_slot_;
   file_->node_->ChargeCpu(file_->node_->cost().cpu_read_tuple_seconds,
                           sim::CostCategory::kReadTuple);
-  *out = Tuple(rec, file_->schema_->tuple_bytes());
+  return true;
+}
+
+bool HeapFile::Scanner::Next(Tuple* out) {
+  const uint8_t* record;
+  if (!NextRecord(&record)) return false;
+  out->Assign(record, file_->schema_->tuple_bytes());
   return true;
 }
 

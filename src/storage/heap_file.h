@@ -71,8 +71,14 @@ class HeapFile {
    public:
     explicit Scanner(const HeapFile* file);
 
-    /// Advances to the next tuple; returns false at end of file OR on an
-    /// I/O error — check status() to tell the two apart.
+    /// Advances to the next record and points `*out` at its bytes in the
+    /// disk-resident page image (no copy; valid until the file's pages
+    /// are freed). Charges page I/O and per-tuple read CPU. Returns
+    /// false at end of file OR on an I/O error — check status() to tell
+    /// the two apart.
+    bool NextRecord(const uint8_t** out);
+
+    /// NextRecord, copied into `*out`; charges identically.
     bool Next(Tuple* out);
 
     /// Fills `block` with views of the remaining tuples of the current

@@ -8,7 +8,7 @@
 
 #include <cstdint>
 #include <cstring>
-#include <vector>
+#include <memory>
 
 #include "common/logging.h"
 
@@ -25,13 +25,16 @@ inline uint32_t PageCapacity(uint32_t page_bytes, uint32_t record_bytes) {
 }
 
 /// An in-memory page image being filled with records before it is
-/// written to a simulated disk.
+/// written to a simulated disk. The image is never zero-filled up
+/// front: Finish() zeroes only the unused tail, and the disk adopts the
+/// finished buffer (sim::Disk::WriteNewPage) instead of copying it.
 class PageWriter {
  public:
   PageWriter(uint32_t page_bytes, uint32_t record_bytes)
-      : record_bytes_(record_bytes),
+      : page_bytes_(page_bytes),
+        record_bytes_(record_bytes),
         capacity_(PageCapacity(page_bytes, record_bytes)),
-        buf_(page_bytes, 0) {}
+        buf_(std::make_unique_for_overwrite<uint8_t[]>(page_bytes)) {}
 
   bool Full() const { return count_ >= capacity_; }
   uint16_t count() const { return count_; }
@@ -40,29 +43,40 @@ class PageWriter {
   /// Appends one record; requires !Full().
   void Append(const uint8_t* record) {
     GAMMA_DCHECK(!Full());
-    std::memcpy(buf_.data() + kPageHeaderBytes +
+    std::memcpy(buf_.get() + kPageHeaderBytes +
                     static_cast<size_t>(count_) * record_bytes_,
                 record, record_bytes_);
     ++count_;
   }
 
-  /// Finalizes the header and returns the page image.
-  const uint8_t* Finish() {
-    std::memcpy(buf_.data(), &count_, sizeof(count_));
-    return buf_.data();
+  /// Finalizes the header, zeroes the bytes past the last record and
+  /// returns the page image. The caller may move the buffer out (the
+  /// disk adopts it); Reset() then allocates a fresh one. Idempotent
+  /// until the next Append, so a failed write can finish it again.
+  std::unique_ptr<uint8_t[]>* Finish() {
+    uint8_t* page = buf_.get();
+    std::memcpy(page, &count_, sizeof(count_));
+    const size_t used =
+        kPageHeaderBytes + static_cast<size_t>(count_) * record_bytes_;
+    std::memset(page + sizeof(count_), 0, kPageHeaderBytes - sizeof(count_));
+    std::memset(page + used, 0, page_bytes_ - used);
+    return &buf_;
   }
 
-  /// Clears the page for reuse.
+  /// Starts an empty page, in a fresh buffer if the last one was taken.
   void Reset() {
     count_ = 0;
-    std::memset(buf_.data(), 0, buf_.size());
+    if (buf_ == nullptr) {
+      buf_ = std::make_unique_for_overwrite<uint8_t[]>(page_bytes_);
+    }
   }
 
  private:
+  uint32_t page_bytes_;
   uint32_t record_bytes_;
   uint32_t capacity_;
   uint16_t count_ = 0;
-  std::vector<uint8_t> buf_;
+  std::unique_ptr<uint8_t[]> buf_;
 };
 
 /// Read-side view over a page image.

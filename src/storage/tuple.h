@@ -112,11 +112,18 @@ class Tuple {
   /// zero-copy probe path composes results directly from the page view
   /// without materializing the probe tuple first.
   static Tuple Concat(const Tuple& a, const uint8_t* b, uint32_t b_size) {
+    return Concat(a.data(), a.size_, b, b_size);
+  }
+
+  /// Concatenation of two raw serialized records (the merge join
+  /// composes results straight from its two record pointers).
+  static Tuple Concat(const uint8_t* a, uint32_t a_size, const uint8_t* b,
+                      uint32_t b_size) {
     Tuple out;
-    out.size_ = a.size_ + b_size;
+    out.size_ = a_size + b_size;
     uint8_t* p = out.Allocate();
-    std::memcpy(p, a.data(), a.size_);
-    std::memcpy(p + a.size_, b, b_size);
+    std::memcpy(p, a, a_size);
+    std::memcpy(p + a_size, b, b_size);
     return out;
   }
 

@@ -407,13 +407,12 @@ Result<FuzzConfig> FuzzConfig::FromReproString(const std::string& line) {
 
 namespace {
 
-/// "Does this candidate still fail?" — the shrinker's only question.
-/// Infrastructure errors count as not-failing so shrinking never walks
-/// into an invalid region.
-bool StillFails(const FuzzConfig& config, int* runs) {
+/// One run of `config`: does it fail? Infrastructure errors count as
+/// not-failing so shrinking never walks into an invalid region.
+bool FailsOnce(const FuzzRunner& run, const FuzzConfig& config, int* runs) {
   ++*runs;
-  const Result<FuzzRunResult> run = RunFuzzConfig(config);
-  return run.ok() && !run->ok();
+  const Result<FuzzRunResult> result = run(config);
+  return result.ok() && !result->ok();
 }
 
 /// Ladder of sizes/domains: dense at the bottom so exact thresholds
@@ -424,13 +423,13 @@ const uint32_t kSizeLadder[] = {0,  1,  2,  3,   4,   6,   8,   12,  16,  24,
 
 /// Tries each candidate in order (simplest first), accepting the first
 /// that still fails. Returns true on accept.
-template <typename T, typename Apply>
+template <typename T, typename Apply, typename StillFails>
 bool TryCandidates(FuzzConfig* best, const std::vector<T>& candidates,
-                   const Apply& apply, int* runs) {
+                   const Apply& apply, const StillFails& still_fails) {
   for (const T& candidate : candidates) {
     FuzzConfig trial = *best;
     apply(&trial, candidate);
-    if (StillFails(trial, runs)) {
+    if (still_fails(trial)) {
       *best = trial;
       return true;
     }
@@ -464,11 +463,34 @@ std::vector<T> Before(const std::vector<T>& ladder, T current) {
 
 }  // namespace
 
-ShrinkResult ShrinkFailure(const FuzzConfig& failing) {
+size_t FuzzRunResult::MetricsDiffAt() const {
+  if (metrics == serial_metrics) return std::string::npos;
+  const auto diff = std::mismatch(metrics.begin(), metrics.end(),
+                                  serial_metrics.begin(), serial_metrics.end());
+  return static_cast<size_t>(diff.first - metrics.begin());
+}
+
+ShrinkResult ShrinkFailure(const FuzzConfig& failing, const FuzzRunner& run) {
   ShrinkResult result;
   result.config = failing;
-  if (!StillFails(failing, &result.runs)) return result;
-  result.reproduced = true;
+  // A failure that shows again on its first rerun is treated as
+  // deterministic; one that does not gets kFlakyReruns reruns in all.
+  result.reruns = 1;
+  result.failed_reruns = FailsOnce(run, failing, &result.runs) ? 1 : 0;
+  if (result.failed_reruns == 0) {
+    for (; result.reruns < kFlakyReruns; ++result.reruns) {
+      if (FailsOnce(run, failing, &result.runs)) ++result.failed_reruns;
+    }
+  }
+  if (!result.reproduced()) return result;
+  // The shrink predicate: fails in any of as many runs as the input got.
+  const int attempts = result.reruns;
+  const auto still_fails = [&](const FuzzConfig& config) {
+    for (int i = 0; i < attempts; ++i) {
+      if (FailsOnce(run, config, &result.runs)) return true;
+    }
+    return false;
+  };
 
   const uint32_t* sizes_begin = std::begin(kSizeLadder);
   const uint32_t* sizes_end = std::end(kSizeLadder);
@@ -483,44 +505,43 @@ ShrinkResult ShrinkFailure(const FuzzConfig& failing) {
   const std::vector<int> levels = {16, 8, 4, 2, 1, 0};
 
   FuzzConfig* best = &result.config;
-  int* runs = &result.runs;
   const auto try_off = [&](bool current, auto&& apply) {
     if (!current) return false;
-    return TryCandidates<int>(best, {0}, apply, runs);
+    return TryCandidates<int>(best, {0}, apply, still_fails);
   };
   bool progress = true;
   while (progress) {
     progress = false;
     progress |= TryCandidates<uint32_t>(
         best, Below(sizes_begin, sizes_end, best->inner_tuples),
-        [](FuzzConfig* c, uint32_t v) { c->inner_tuples = v; }, runs);
+        [](FuzzConfig* c, uint32_t v) { c->inner_tuples = v; }, still_fails);
     progress |= TryCandidates<uint32_t>(
         best, Below(sizes_begin + 1, sizes_end, best->key_domain),
-        [](FuzzConfig* c, uint32_t v) { c->key_domain = v; }, runs);
+        [](FuzzConfig* c, uint32_t v) { c->key_domain = v; }, still_fails);
     progress |= TryCandidates<uint32_t>(
         best, Below(sizes_begin, sizes_end, best->outer_tuples),
-        [](FuzzConfig* c, uint32_t v) { c->outer_tuples = v; }, runs);
+        [](FuzzConfig* c, uint32_t v) { c->outer_tuples = v; }, still_fails);
     progress |= TryCandidates<double>(
         best, Before(thetas, best->zipf_theta),
-        [](FuzzConfig* c, double v) { c->zipf_theta = v; }, runs);
+        [](FuzzConfig* c, double v) { c->zipf_theta = v; }, still_fails);
     progress |= TryCandidates<int>(
         best, Before(sels, best->sel_pct),
-        [](FuzzConfig* c, int v) { c->sel_pct = v; }, runs);
+        [](FuzzConfig* c, int v) { c->sel_pct = v; }, still_fails);
     progress |= TryCandidates<int>(
         best, Before(pcts, best->memory_pct),
-        [](FuzzConfig* c, int v) { c->memory_pct = v; }, runs);
+        [](FuzzConfig* c, int v) { c->memory_pct = v; }, still_fails);
     progress |= TryCandidates<int>(
         best, Before(threads, best->threads),
-        [](FuzzConfig* c, int v) { c->threads = v; }, runs);
+        [](FuzzConfig* c, int v) { c->threads = v; }, still_fails);
     progress |= TryCandidates<int>(
         best, Before(algos, static_cast<int>(best->algorithm)),
         [](FuzzConfig* c, int v) {
           c->algorithm = static_cast<join::Algorithm>(v);
         },
-        runs);
+        still_fails);
     progress |= TryCandidates<int>(
         best, Before(levels, best->max_levels),
-        [](FuzzConfig* c, int v) { c->max_levels = v; }, runs);
+        [](FuzzConfig* c, int v) { c->max_levels = v; }, still_fails);
     progress |= try_off(best->zero_slack,
                         [](FuzzConfig* c, int) { c->zero_slack = false; });
     progress |=

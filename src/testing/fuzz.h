@@ -9,6 +9,7 @@
 #define GAMMA_TESTING_FUZZ_H_
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "common/status.h"
@@ -102,6 +103,9 @@ struct FuzzRunResult {
   int64_t spill_bytes = 0;
   int64_t refill_bytes = 0;
   bool digests_ok() const { return oracle == engine && oracle == stored; }
+  /// Offset of the first byte where `metrics` and `serial_metrics`
+  /// differ; std::string::npos when they are equal.
+  size_t MetricsDiffAt() const;
   bool ok() const {
     return digests_ok() && metrics == serial_metrics &&
            spill_bytes == refill_bytes;
@@ -115,21 +119,38 @@ struct FuzzRunResult {
 /// through FuzzRunResult::ok().
 Result<FuzzRunResult> RunFuzzConfig(const FuzzConfig& config);
 
+/// Reruns given to a failing config whose first rerun passes: a racy,
+/// non-deterministic failure may need several runs to show again.
+inline constexpr int kFlakyReruns = 5;
+
 struct ShrinkResult {
   FuzzConfig config;
-  /// Whether the input config failed at all (false = nothing to shrink;
-  /// `config` is returned unchanged).
-  bool reproduced = false;
-  /// Total RunFuzzConfig executions spent shrinking.
+  /// Reruns of the input config before shrinking, and how many failed:
+  /// 1 of 1 when the first rerun fails again; otherwise k of
+  /// kFlakyReruns, and a flaky failure (k >= 1) is shrunk with "fails
+  /// in any of kFlakyReruns reruns" as the predicate.
+  int reruns = 0;
+  int failed_reruns = 0;
+  /// Total runner executions, the reruns included.
   int runs = 0;
+
+  /// Whether any rerun of the input config failed (false = nothing to
+  /// shrink; `config` is returned unchanged).
+  bool reproduced() const { return failed_reruns > 0; }
+  bool flaky() const { return failed_reruns < reruns; }
 };
+
+/// Runs one config; RunFuzzConfig unless a test substitutes it.
+using FuzzRunner = std::function<Result<FuzzRunResult>(const FuzzConfig&)>;
 
 /// Greedy per-axis minimization: repeatedly tries the smallest ladder
 /// value of every axis, accepting any candidate that still fails, until
 /// a full pass accepts nothing. Candidates that error out are treated
 /// as non-reproducing. The result is locally minimal: shrinking any
-/// single axis further makes the failure disappear.
-ShrinkResult ShrinkFailure(const FuzzConfig& failing);
+/// single axis further makes the failure disappear (for a flaky
+/// failure: in none of kFlakyReruns reruns).
+ShrinkResult ShrinkFailure(const FuzzConfig& failing,
+                           const FuzzRunner& run = RunFuzzConfig);
 
 }  // namespace gammadb::testing
 

@@ -116,9 +116,7 @@ TEST_F(PlannerTest, PlannerKeepsHybridForSkewedLowMemoryJoin) {
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
   EXPECT_TRUE(stats->HighlySkewed());
 
-  join::JoinSpec spec;
-  spec.inner_relation = std::string("Skewed");
-  spec.outer_relation = std::string("A");
+  join::JoinSpec spec = testing::NamedSpec("Skewed", "A");
   spec.inner_field = wf::kNormal;
   spec.outer_field = wf::kUnique1;
   spec.memory_ratio = 0.15;

@@ -122,9 +122,7 @@ void RunJoin(join::Algorithm algorithm, const FaultPlan* plan,
 
   if (plan != nullptr) machine.ArmFaults(*plan);
 
-  join::JoinSpec spec;
-  spec.inner_relation = "Bprime";
-  spec.outer_relation = "A";
+  join::JoinSpec spec = testing::NamedSpec("Bprime", "A");
   spec.algorithm = algorithm;
   spec.use_bit_filters = true;
   spec.result_name = "result";

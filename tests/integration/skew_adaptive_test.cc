@@ -56,9 +56,7 @@ void RunZipfJoin(join::Algorithm algorithm, bool adaptive, int threads,
 
   if (faults != nullptr) machine.ArmFaults(*faults);
 
-  join::JoinSpec spec;
-  spec.inner_relation = "Bprime";
-  spec.outer_relation = "A";
+  join::JoinSpec spec = testing::NamedSpec("Bprime", "A");
   spec.inner_field = wisconsin::fields::kNormal;
   spec.outer_field = wisconsin::fields::kNormal;
   spec.algorithm = algorithm;

@@ -21,20 +21,14 @@ class DriverValidationTest : public ::testing::Test {
     GAMMA_CHECK(loaded.ok());
   }
 
-  JoinSpec ValidSpec() {
-    JoinSpec spec;
-    spec.inner_relation = std::string("Bprime");
-    spec.outer_relation = std::string("A");
-    return spec;
-  }
+  JoinSpec ValidSpec() { return testing::NamedSpec("Bprime", "A"); }
 
   sim::Machine machine_;
   db::Catalog catalog_;
 };
 
 TEST_F(DriverValidationTest, UnknownRelation) {
-  JoinSpec spec = ValidSpec();
-  spec.inner_relation = std::string("nope");
+  JoinSpec spec = testing::NamedSpec("nope", "A");
   EXPECT_EQ(ExecuteJoin(machine_, catalog_, spec).status().code(),
             StatusCode::kNotFound);
 }

@@ -37,9 +37,7 @@ void RunJoin(join::Algorithm algorithm, const sim::FaultPlan* plan,
 
   if (plan != nullptr) machine.ArmFaults(*plan);
 
-  join::JoinSpec spec;
-  spec.inner_relation = std::string("Bprime");
-  spec.outer_relation = std::string("A");
+  join::JoinSpec spec = testing::NamedSpec("Bprime", "A");
   spec.algorithm = algorithm;
   spec.use_bit_filters = true;
   spec.result_name = "result";

@@ -61,9 +61,7 @@ TEST_P(JoinCorrectnessTest, MatchesReferenceJoin) {
   auto dataset = wisconsin::LoadJoinABprime(machine, catalog, dataset_options);
   ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
 
-  JoinSpec spec;
-  spec.inner_relation = "Bprime";
-  spec.outer_relation = "A";
+  JoinSpec spec = testing::NamedSpec("Bprime", "A");
   // Skewed case: NU join (normal inner attribute against outer unique1
   // does not make sense for the sample — instead join normal = normal?
   // NN explodes; use inner normal vs outer unique1: values share the

@@ -44,9 +44,7 @@ std::string ParamName(const ::testing::TestParamInfo<PropertyParam>& info) {
 TEST_P(JoinPropertyTest, AllAlgorithmsAgreeWithReference) {
   const auto& [field, ratio, with_predicate] = GetParam();
 
-  JoinSpec base;
-  base.inner_relation = "Bprime";
-  base.outer_relation = "A";
+  JoinSpec base = testing::NamedSpec("Bprime", "A");
   base.inner_field = field;
   base.outer_field = field;
   base.memory_ratio = ratio;

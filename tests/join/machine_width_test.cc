@@ -39,9 +39,7 @@ TEST_P(MachineWidthTest, CorrectOnThisTopology) {
   auto loaded = wisconsin::LoadJoinABprime(machine, catalog, options);
   ASSERT_TRUE(loaded.ok());
 
-  JoinSpec spec;
-  spec.inner_relation = "Bprime";
-  spec.outer_relation = "A";
+  JoinSpec spec = testing::NamedSpec("Bprime", "A");
   spec.algorithm = algorithm;
   spec.memory_ratio = 0.3;
   spec.use_bit_filters = true;

@@ -27,9 +27,7 @@ class MultiProcessJoinTest : public ::testing::Test {
   }
 
   JoinOutput MustJoin(const std::function<void(JoinSpec&)>& mutate) {
-    JoinSpec spec;
-    spec.inner_relation = std::string("Bprime");
-    spec.outer_relation = std::string("A");
+    JoinSpec spec = testing::NamedSpec("Bprime", "A");
     spec.algorithm = Algorithm::kHybridHash;
     spec.result_name = "mp_result";
     mutate(spec);

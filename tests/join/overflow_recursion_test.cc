@@ -127,9 +127,7 @@ class NestedLoopFallbackTest : public ::testing::Test {
   }
 
   JoinOutput MustJoin(const std::function<void(JoinSpec&)>& mutate) {
-    JoinSpec spec;
-    spec.inner_relation = "R";
-    spec.outer_relation = "S";
+    JoinSpec spec = testing::NamedSpec("R", "S");
     spec.algorithm = Algorithm::kSimpleHash;
     spec.result_name = "result";
     spec.capture_results = true;
@@ -200,9 +198,7 @@ TEST_F(NestedLoopFallbackTest, DepthCapTriggersFallbackOnSplittableKeys) {
 
 TEST_F(NestedLoopFallbackTest, InvalidDepthCapRejected) {
   LoadOneKeyRelations(4, 4);
-  JoinSpec spec;
-  spec.inner_relation = "R";
-  spec.outer_relation = "S";
+  JoinSpec spec = testing::NamedSpec("R", "S");
   spec.max_overflow_levels = -1;
   auto output = ExecuteJoin(machine_, catalog_, spec);
   EXPECT_FALSE(output.ok());

@@ -23,9 +23,7 @@ class OverflowTest : public ::testing::Test {
   }
 
   JoinOutput MustJoin(const std::function<void(JoinSpec&)>& mutate) {
-    JoinSpec spec;
-    spec.inner_relation = std::string("Bprime");
-    spec.outer_relation = std::string("A");
+    JoinSpec spec = testing::NamedSpec("Bprime", "A");
     spec.algorithm = Algorithm::kSimpleHash;
     spec.result_name = "result";
     mutate(spec);

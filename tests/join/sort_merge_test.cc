@@ -3,10 +3,15 @@
 // drives the paper's Table 3 NU result.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "gamma/catalog.h"
 #include "gamma/loader.h"
 #include "join/driver.h"
 #include "sim/machine.h"
+#include "testing/oracle.h"
 #include "testing/test_util.h"
 #include "wisconsin/wisconsin.h"
 
@@ -26,10 +31,9 @@ class SortMergeJoinTest : public ::testing::Test {
     GAMMA_CHECK(loaded.ok());
   }
 
-  JoinOutput MustJoin(const std::function<void(JoinSpec&)>& mutate) {
-    JoinSpec spec;
-    spec.inner_relation = std::string("Bprime");
-    spec.outer_relation = std::string("A");
+  JoinOutput MustJoin(const std::function<void(JoinSpec&)>& mutate,
+                      const std::string& inner = "Bprime") {
+    JoinSpec spec = testing::NamedSpec(inner, "A");
     spec.algorithm = Algorithm::kSortMerge;
     spec.result_name = "sm_result";
     mutate(spec);
@@ -86,10 +90,8 @@ TEST_F(SortMergeJoinTest, EarlyTerminationSkipsOuterTail) {
   ASSERT_TRUE(db::LoadRelation(*rel, low, load).ok());
 
   auto spread = MustJoin([](JoinSpec& s) { s.memory_ratio = 0.5; });
-  auto confined = MustJoin([](JoinSpec& s) {
-    s.inner_relation = "LowInner";
-    s.memory_ratio = 0.5;
-  });
+  auto confined =
+      MustJoin([](JoinSpec& s) { s.memory_ratio = 0.5; }, "LowInner");
   EXPECT_EQ(spread.stats.result_tuples, 400u);
   EXPECT_EQ(confined.stats.result_tuples, 400u);
   // The confined inner ends the merge after ~10% of the outer stream.
@@ -111,9 +113,7 @@ TEST_F(SortMergeJoinTest, DuplicatesOnBothSides) {
       wisconsin::fields::kTen, (*outer_rel)->PeekAllTuples(),
       (*outer_rel)->schema(), wisconsin::fields::kTen);
 
-  JoinSpec spec;
-  spec.inner_relation = "Bprime";
-  spec.outer_relation = "A";
+  JoinSpec spec = testing::NamedSpec("Bprime", "A");
   spec.inner_field = wisconsin::fields::kTen;
   spec.outer_field = wisconsin::fields::kTen;
   spec.algorithm = Algorithm::kSortMerge;
@@ -126,6 +126,50 @@ TEST_F(SortMergeJoinTest, DuplicatesOnBothSides) {
   EXPECT_EQ(testing::Canonical((*result_rel)->PeekAllTuples()),
             testing::Canonical(expected));
   EXPECT_EQ(output->stats.result_tuples, expected.size());
+}
+
+TEST_F(SortMergeJoinTest, DuplicateGroupSpanningPagesAndRunsMatchesOracle) {
+  // Two inner keys over 600 tuples: at 3 sort pages per site (117
+  // 208-byte records per run) each key's duplicate group fills several
+  // pages of several sorted runs, so the merge join's group of record
+  // pointers into run pages crosses both page and run boundaries.
+  const storage::Schema schema({storage::Field::Int32("key"),
+                                storage::Field::Int32("val"),
+                                storage::Field::Char("pad", 200)});
+  const auto make = [&schema](size_t n, int32_t keys) {
+    std::vector<storage::Tuple> tuples;
+    for (size_t i = 0; i < n; ++i) {
+      storage::Tuple t(schema.tuple_bytes());
+      t.SetInt32(schema, 0, 1 + static_cast<int32_t>(i % keys));
+      t.SetInt32(schema, 1, static_cast<int32_t>(i));
+      t.SetChars(schema, 2, "row" + std::to_string(i));
+      tuples.push_back(std::move(t));
+    }
+    return tuples;
+  };
+  auto inner = catalog_.Create(machine_, "DupR", schema);
+  auto outer = catalog_.Create(machine_, "DupS", schema);
+  ASSERT_TRUE(inner.ok() && outer.ok());
+  db::LoadOptions load;
+  load.strategy = db::PartitionStrategy::kRoundRobin;
+  ASSERT_TRUE(db::LoadRelation(*inner, make(600, 2), load).ok());
+  ASSERT_TRUE(db::LoadRelation(*outer, make(90, 3), load).ok());
+
+  JoinSpec spec = testing::NamedSpec("DupR", "DupS");
+  spec.algorithm = Algorithm::kSortMerge;
+  spec.memory_bytes = 4ull * 3 * 8192;  // 3 pages per site
+  spec.result_name = "dup_span_result";
+  spec.capture_results = true;
+  const auto oracle = testing::OracleJoinDigest(catalog_, spec);
+  ASSERT_TRUE(oracle.ok());
+  const auto output = ExecuteJoin(machine_, catalog_, spec);
+  ASSERT_TRUE(output.ok()) << output.status().ToString();
+  ASSERT_TRUE(output->result_digest.has_value());
+  EXPECT_EQ(*output->result_digest, *oracle);
+  EXPECT_EQ(output->stats.result_tuples, 2u * 300u * 30u);
+  // More sorted inner runs than one merge takes: the final merge reads
+  // at least two runs, each holding many pages of the same key.
+  EXPECT_GT(output->stats.inner_sort_passes, 0);
 }
 
 TEST_F(SortMergeJoinTest, FilterSavesSortAndMergeWork) {

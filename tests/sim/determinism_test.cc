@@ -68,9 +68,7 @@ void RunScenario(const Scenario& scenario, join::Algorithm algorithm,
 
   if (faults != nullptr) machine.ArmFaults(*faults);
 
-  join::JoinSpec spec;
-  spec.inner_relation = std::string("Bprime");
-  spec.outer_relation = std::string("A");
+  join::JoinSpec spec = testing::NamedSpec("Bprime", "A");
   spec.algorithm = algorithm;
   if (scenario.remote) spec.join_nodes = machine.DisklessNodeIds();
   spec.memory_ratio = scenario.memory_ratio;
@@ -194,9 +192,7 @@ TEST(DeterminismTest, OverflowScenarioDoesOverflow) {
   auto loaded = wisconsin::LoadJoinABprime(machine, catalog, options);
   ASSERT_TRUE(loaded.ok());
 
-  join::JoinSpec spec;
-  spec.inner_relation = std::string("Bprime");
-  spec.outer_relation = std::string("A");
+  join::JoinSpec spec = testing::NamedSpec("Bprime", "A");
   spec.algorithm = join::Algorithm::kSimpleHash;
   spec.memory_ratio = 0.15;
   spec.memory_slack = 0.0;

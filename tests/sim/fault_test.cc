@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -161,6 +163,12 @@ class DiskFaultTest : public ::testing::Test {
   std::vector<uint8_t> PageBuf(uint8_t fill = 0) {
     return std::vector<uint8_t>(machine_.cost().page_bytes, fill);
   }
+  /// Writes a copy of `bytes` as a new page of node 0 (inside a phase).
+  Result<PageId> WritePage(const std::vector<uint8_t>& bytes) {
+    auto image = std::make_unique<uint8_t[]>(bytes.size());
+    std::memcpy(image.get(), bytes.data(), bytes.size());
+    return disk().WriteNewPage(&image);
+  }
 
   Machine machine_;
 };
@@ -172,11 +180,11 @@ TEST_F(DiskFaultTest, TransientReadFaultRetriesAndSelfHeals) {
   EXPECT_TRUE(machine_.faults_armed());
 
   std::vector<uint8_t> in = PageBuf(0xAB);
-  const PageId id = disk().AllocatePage();
   machine_.BeginPhase("fault io");
-  ASSERT_TRUE(disk().WritePage(id, in.data()).ok());
+  const Result<PageId> id = WritePage(in);
+  ASSERT_TRUE(id.ok());
   const uint8_t* out = nullptr;
-  const Status read = disk().ReadPageRef(id, &out);
+  const Status read = disk().ReadPageRef(*id, &out);
   ASSERT_TRUE(read.ok()) << read.ToString();
   // Data is never corrupted by a transient fault.
   EXPECT_EQ(in, std::vector<uint8_t>(out, out + in.size()));
@@ -203,9 +211,8 @@ TEST_F(DiskFaultTest, TransientWriteFaultCountsSeparately) {
   plan.Add(Ev(FaultKind::kDiskWriteTransient, 0, 1));
   machine_.ArmFaults(plan);
   std::vector<uint8_t> buf = PageBuf(0x11);
-  const PageId id = disk().AllocatePage();
   machine_.BeginPhase("w");
-  EXPECT_TRUE(disk().WritePage(id, buf.data()).ok());
+  EXPECT_TRUE(WritePage(buf).ok());
   machine_.EndPhase().IgnoreError();
   const Counters c = machine_.Metrics().counters;
   EXPECT_EQ(c.disk_write_faults, 1);
@@ -219,9 +226,10 @@ TEST_F(DiskFaultTest, RepeatAtRetryBudgetBecomesHardError) {
   plan.Add(Ev(FaultKind::kDiskReadTransient, 0, 1, Disk::kMaxIoAttempts));
   machine_.ArmFaults(plan);
   const uint8_t* out = nullptr;
-  const PageId id = disk().AllocatePage();
   machine_.BeginPhase("hard");
-  const Status st = disk().ReadPageRef(id, &out);
+  const Result<PageId> id = WritePage(PageBuf());
+  ASSERT_TRUE(id.ok());
+  const Status st = disk().ReadPageRef(*id, &out);
   machine_.EndPhase().IgnoreError();
   EXPECT_EQ(st.code(), StatusCode::kUnavailable);
   const Counters c = machine_.Metrics().counters;
@@ -235,9 +243,10 @@ TEST_F(DiskFaultTest, RepeatBelowBudgetStillSucceeds) {
   plan.Add(Ev(FaultKind::kDiskReadTransient, 0, 1, Disk::kMaxIoAttempts - 1));
   machine_.ArmFaults(plan);
   const uint8_t* out = nullptr;
-  const PageId id = disk().AllocatePage();
   machine_.BeginPhase("heal");
-  EXPECT_TRUE(disk().ReadPageRef(id, &out).ok());
+  const Result<PageId> id = WritePage(PageBuf());
+  ASSERT_TRUE(id.ok());
+  EXPECT_TRUE(disk().ReadPageRef(*id, &out).ok());
   machine_.EndPhase().IgnoreError();
   const Counters c = machine_.Metrics().counters;
   EXPECT_EQ(c.disk_read_faults, Disk::kMaxIoAttempts - 1);
@@ -253,15 +262,16 @@ TEST_F(DiskFaultTest, FaultCountersSurviveResetMetrics) {
   plan.Add(Ev(FaultKind::kDiskReadTransient, 0, 2));
   machine_.ArmFaults(plan);
   const uint8_t* out = nullptr;
-  const PageId id = disk().AllocatePage();
   machine_.BeginPhase("a");
-  EXPECT_TRUE(disk().ReadPageRef(id, &out).ok());
+  const Result<PageId> id = WritePage(PageBuf());
+  ASSERT_TRUE(id.ok());
+  EXPECT_TRUE(disk().ReadPageRef(*id, &out).ok());
   machine_.EndPhase().IgnoreError();
   EXPECT_EQ(machine_.Metrics().counters.disk_read_faults, 0);
 
   machine_.ResetMetrics();
   machine_.BeginPhase("b");
-  EXPECT_TRUE(disk().ReadPageRef(id, &out).ok());
+  EXPECT_TRUE(disk().ReadPageRef(*id, &out).ok());
   machine_.EndPhase().IgnoreError();
   const Counters c = machine_.Metrics().counters;
   EXPECT_EQ(c.disk_read_faults, 1);
@@ -280,9 +290,10 @@ TEST_F(DiskFaultTest, EmptyPlanDisarms) {
   machine_.DisarmFaults();
   EXPECT_FALSE(machine_.faults_armed());
   const uint8_t* out = nullptr;
-  const PageId id = disk().AllocatePage();
   machine_.BeginPhase("clean");
-  EXPECT_TRUE(disk().ReadPageRef(id, &out).ok());
+  const Result<PageId> id = WritePage(PageBuf());
+  ASSERT_TRUE(id.ok());
+  EXPECT_TRUE(disk().ReadPageRef(*id, &out).ok());
   machine_.EndPhase().IgnoreError();
   EXPECT_FALSE(machine_.Metrics().counters.AnyFaults());
 }

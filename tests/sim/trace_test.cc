@@ -46,9 +46,7 @@ void RunTraced(join::Algorithm algorithm, int threads,
 
   if (faults != nullptr) machine.ArmFaults(*faults);
 
-  join::JoinSpec spec;
-  spec.inner_relation = "Bprime";
-  spec.outer_relation = "A";
+  join::JoinSpec spec = testing::NamedSpec("Bprime", "A");
   spec.algorithm = algorithm;
   spec.memory_ratio = 1.0;
   spec.memory_slack = 0.35;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/machine.h"
 #include "storage/schema.h"
 #include "testing/status_matchers.h"
@@ -164,6 +166,58 @@ TEST_F(HeapFileTest, AppendSurvivesHardWriteFaultViaRetry) {
   const sim::Counters& c = machine_.node(0).counters();
   EXPECT_EQ(c.disk_write_faults, sim::Disk::kMaxIoAttempts);
   EXPECT_EQ(c.io_retries, sim::Disk::kMaxIoAttempts - 1);
+}
+
+TEST_F(HeapFileTest, FailedPageWriteKeepsItsPage) {
+  // The disk adopts a written page image rather than copying it, so a
+  // write that exhausts its retries must leave the image with the
+  // writer: no tuple is lost, no disk page is taken, and the retried
+  // flush stores exactly the page a fault-free write stores.
+  const auto fill = [this](HeapFile* file) {
+    for (int32_t i = 0; i < 25; ++i) {  // a partial page
+      GAMMA_ASSERT_OK(file->Append(MakeTuple(1000 + i)));
+    }
+  };
+  sim::Machine clean_machine(sim::MachineConfig{1, 0, sim::CostModel{}, 1});
+  HeapFile clean(&clean_machine.node(0), &schema_, "clean");
+  clean_machine.BeginPhase("w");
+  fill(&clean);
+  GAMMA_ASSERT_OK(clean.FlushAppends());
+  GAMMA_ASSERT_OK(clean_machine.EndPhase());
+  const sim::Disk& clean_disk = clean_machine.node(0).disk();
+  ASSERT_EQ(clean_disk.live_pages(), 1u);
+
+  sim::FaultPlan plan;
+  sim::FaultEvent e;
+  e.kind = sim::FaultKind::kDiskWriteTransient;
+  e.ordinal = 1;
+  e.repeat = sim::Disk::kMaxIoAttempts;
+  plan.Add(e);
+  machine_.ArmFaults(plan);
+  const sim::Disk& disk = machine_.node(0).disk();
+  HeapFile file(&machine_.node(0), &schema_, "t");
+  machine_.BeginPhase("w");
+  fill(&file);
+  const Status failed = file.FlushAppends();
+  EXPECT_EQ(failed.code(), StatusCode::kUnavailable);
+  EXPECT_EQ(file.tuple_count(), 25u);
+  EXPECT_EQ(file.page_count(), 0u);
+  EXPECT_EQ(disk.live_pages(), 0u);  // the failed write took no page
+
+  GAMMA_ASSERT_OK(file.FlushAppends());
+  machine_.EndPhase().IgnoreError();
+  EXPECT_EQ(file.tuple_count(), 25u);
+  EXPECT_EQ(file.page_count(), 1u);
+  ASSERT_EQ(disk.live_pages(), 1u);
+  const uint32_t page_bytes = machine_.cost().page_bytes;
+  const uint8_t* page = disk.PeekPage(0);
+  const uint8_t* clean_page = clean_disk.PeekPage(0);
+  EXPECT_EQ(std::vector<uint8_t>(page, page + page_bytes),
+            std::vector<uint8_t>(clean_page, clean_page + page_bytes));
+  EXPECT_EQ(machine_.node(0).counters().pages_written, 1);
+
+  file.Free();
+  EXPECT_EQ(disk.live_pages(), 0u);
 }
 
 TEST_F(HeapFileTest, ScannerSurfacesHardReadFault) {

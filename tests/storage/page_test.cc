@@ -23,7 +23,7 @@ TEST(PageTest, WriteThenReadBack) {
     ASSERT_FALSE(writer.Full());
     writer.Append(rec.data());
   }
-  const uint8_t* image = writer.Finish();
+  const uint8_t* image = writer.Finish()->get();
   PageReader reader(image, record_bytes);
   ASSERT_EQ(reader.count(), 10);
   for (uint16_t i = 0; i < 10; ++i) {
@@ -50,13 +50,13 @@ TEST(PageTest, ResetClearsForReuse) {
   writer.Finish();
   writer.Reset();
   EXPECT_EQ(writer.count(), 0);
-  PageReader reader(writer.Finish(), 8);
+  PageReader reader(writer.Finish()->get(), 8);
   EXPECT_EQ(reader.count(), 0);
 }
 
 TEST(PageTest, EmptyPageReadsZeroRecords) {
   PageWriter writer(512, 32);
-  PageReader reader(writer.Finish(), 32);
+  PageReader reader(writer.Finish()->get(), 32);
   EXPECT_EQ(reader.count(), 0);
 }
 

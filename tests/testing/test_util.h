@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gamma/catalog.h"
@@ -54,16 +55,24 @@ inline wisconsin::DatasetOptions ABprimeDataset() {
   return options;
 }
 
+/// A default join spec over the named relations. Every test spec starts
+/// here: the names are moved in from by-value parameters, because
+/// assigning string literals to a JoinSpec's std::string fields trips
+/// GCC 12's -Wrestrict false positive at -O3, depending on the struct's
+/// layout.
+inline join::JoinSpec NamedSpec(std::string inner, std::string outer) {
+  join::JoinSpec spec;
+  spec.inner_relation = std::move(inner);
+  spec.outer_relation = std::move(outer);
+  return spec;
+}
+
 /// Join spec over ABprimeDataset(). capture_results is on so callers
 /// can compare JoinOutput::result_digest across configurations
 /// (docs/testing.md).
 inline join::JoinSpec ABprimeSpec(join::Algorithm algorithm,
                                   double memory_ratio) {
-  join::JoinSpec spec;
-  // Move-assigned temporaries: assigning the literals directly trips
-  // GCC 12's -Wrestrict false positive inside std::string at -O3.
-  spec.inner_relation = std::string("Bprime");
-  spec.outer_relation = std::string("A");
+  join::JoinSpec spec = NamedSpec("Bprime", "A");
   spec.algorithm = algorithm;
   spec.memory_ratio = memory_ratio;
   spec.use_bit_filters = true;

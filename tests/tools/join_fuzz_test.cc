@@ -140,7 +140,7 @@ TEST(ShrinkFailure, ConvergesToMinimalInjectedMismatch) {
   ASSERT_FALSE(original->ok()) << "injected mismatch did not fire";
 
   const ShrinkResult shrunk = ShrinkFailure(failing);
-  ASSERT_TRUE(shrunk.reproduced);
+  ASSERT_TRUE(shrunk.reproduced());
   EXPECT_GT(shrunk.runs, 0);
   const FuzzConfig& m = shrunk.config;
   EXPECT_EQ(m.inner_tuples, 2u);
@@ -162,6 +162,81 @@ TEST(ShrinkFailure, ConvergesToMinimalInjectedMismatch) {
   const Result<FuzzRunResult> rerun = RunFuzzConfig(*reparsed);
   ASSERT_TRUE(rerun.ok());
   EXPECT_FALSE(rerun->ok());
+}
+
+/// A runner that fails like a race: only when the config satisfies the
+/// injected-mismatch boundary, and then only on every third call
+/// overall, so a failure never shows on two calls in a row. No join is
+/// run; a failing result differs from its 1-thread rerun at byte 3.
+FuzzRunner FlakyRunner(int* calls, bool ever_fails) {
+  return [calls, ever_fails](const FuzzConfig& c) -> Result<FuzzRunResult> {
+    ++*calls;
+    FuzzRunResult run;
+    run.metrics = "{}\nspill=0";
+    run.serial_metrics = run.metrics;
+    if (ever_fails && *calls % 3 == 0 && c.bit_filters &&
+        c.inner_tuples >= 2 && c.outer_tuples >= 32) {
+      run.metrics[3] = 'X';
+    }
+    return run;
+  };
+}
+
+FuzzConfig FlakyFailingConfig() {
+  FuzzConfig failing;
+  failing.algorithm = join::Algorithm::kHybridHash;
+  failing.threads = 4;
+  failing.inner_tuples = 40;
+  failing.outer_tuples = 400;
+  failing.key_domain = 10;
+  failing.bit_filters = true;
+  return failing;
+}
+
+TEST(ShrinkFailure, FlakyFailureIsRerunAndShrunkOnAnyOfItsReruns) {
+  int calls = 0;
+  const ShrinkResult shrunk =
+      ShrinkFailure(FlakyFailingConfig(), FlakyRunner(&calls, true));
+  // Calls 1..5 are the reruns; call 3 fails.
+  EXPECT_EQ(shrunk.reruns, kFlakyReruns);
+  EXPECT_EQ(shrunk.failed_reruns, 1);
+  EXPECT_TRUE(shrunk.flaky());
+  ASSERT_TRUE(shrunk.reproduced());
+  EXPECT_EQ(shrunk.runs, calls);
+  // Any kFlakyReruns consecutive calls include a failing one, so the
+  // "fails in any rerun" predicate is exact and the shrinker lands on
+  // the boundary, as it does for a deterministic failure.
+  const FuzzConfig& m = shrunk.config;
+  EXPECT_EQ(m.inner_tuples, 2u);
+  EXPECT_EQ(m.outer_tuples, 32u);
+  EXPECT_TRUE(m.bit_filters);
+  EXPECT_EQ(m.key_domain, 1u);
+  EXPECT_EQ(m.threads, 1);
+  EXPECT_EQ(m.algorithm, join::Algorithm::kSortMerge);
+}
+
+TEST(ShrinkFailure, FailureThatNeverReproducesIsReportedUnshrunk) {
+  int calls = 0;
+  const FuzzConfig failing = FlakyFailingConfig();
+  const ShrinkResult shrunk =
+      ShrinkFailure(failing, FlakyRunner(&calls, false));
+  EXPECT_FALSE(shrunk.reproduced());
+  EXPECT_EQ(shrunk.reruns, kFlakyReruns);
+  EXPECT_EQ(shrunk.failed_reruns, 0);
+  EXPECT_EQ(shrunk.runs, kFlakyReruns);
+  EXPECT_EQ(calls, kFlakyReruns);
+  EXPECT_EQ(shrunk.config.ToReproString(), failing.ToReproString());
+}
+
+TEST(FuzzRunResult, MetricsDiffAtNamesTheFirstDifferingByte) {
+  FuzzRunResult run;
+  run.metrics = "{}\nspill=8192";
+  run.serial_metrics = run.metrics;
+  EXPECT_EQ(run.MetricsDiffAt(), std::string::npos);
+  run.serial_metrics = "{}\nspill=8000";
+  EXPECT_EQ(run.MetricsDiffAt(), 10u);
+  run.serial_metrics = "{}\nspill=81";
+  EXPECT_EQ(run.MetricsDiffAt(), 11u);
 }
 
 TEST(RegressionConfigs, RebalanceCapacityOverflow) {

@@ -10,7 +10,6 @@
 // metrics and refilled every spilled byte; 1 = a mismatch was found
 // (shrunk repro printed, and written to --repro-out if given); 2 =
 // usage or infrastructure error.
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -55,13 +54,10 @@ void PrintMismatch(const FuzzConfig& config, const FuzzRunResult& run) {
   std::printf("  oracle: %s\n", run.oracle.ToString().c_str());
   std::printf("  engine: %s\n", run.engine.ToString().c_str());
   std::printf("  stored: %s\n", run.stored.ToString().c_str());
-  if (run.metrics != run.serial_metrics) {
+  const size_t at = run.MetricsDiffAt();
+  if (at != std::string::npos) {
     // Both records share a prefix up to the first differing byte; show
     // each from a little before it.
-    const auto diff = std::mismatch(run.metrics.begin(), run.metrics.end(),
-                                    run.serial_metrics.begin(),
-                                    run.serial_metrics.end());
-    const size_t at = static_cast<size_t>(diff.first - run.metrics.begin());
     const size_t from = at < 40 ? 0 : at - 40;
     std::printf("  metrics differ from the 1-thread rerun at byte %zu:\n",
                 at);
@@ -78,18 +74,31 @@ void PrintMismatch(const FuzzConfig& config, const FuzzRunResult& run) {
 }
 
 /// Shrinks (unless disabled), prints the final repro line, writes the
-/// artifact, and returns exit code 1.
-int ReportFailure(const FuzzConfig& failing, bool shrink,
-                  const std::string& repro_out) {
+/// artifact, and returns exit code 1. `run` is the failing run.
+int ReportFailure(const FuzzConfig& failing, const FuzzRunResult& run,
+                  bool shrink, const std::string& repro_out) {
   FuzzConfig minimal = failing;
   if (shrink) {
     const ShrinkResult shrunk = ShrinkFailure(failing);
-    if (shrunk.reproduced) {
+    if (shrunk.flaky()) {
+      std::printf("flaky: failed %d of %d reruns\n", shrunk.failed_reruns,
+                  shrunk.reruns);
+    }
+    if (shrunk.reproduced()) {
       minimal = shrunk.config;
-      std::printf("shrunk in %d runs\n", shrunk.runs);
+      std::printf("shrunk in %d runs%s\n", shrunk.runs,
+                  shrunk.flaky() ? " (a candidate fails if any of its "
+                                   "reruns fails)"
+                                 : "");
     } else {
-      std::printf("failure did not reproduce under shrinking; "
-                  "reporting the original config\n");
+      std::printf("not shrunk: reporting the original config");
+      const size_t at = run.MetricsDiffAt();
+      if (at != std::string::npos) {
+        std::printf(", whose metrics first differed from the 1-thread "
+                    "rerun at byte %zu",
+                    at);
+      }
+      std::printf("\n");
     }
   }
   const std::string line = minimal.ToReproString();
@@ -164,7 +173,7 @@ int main(int argc, char** argv) {
       return 0;
     }
     PrintMismatch(config, *run);
-    return ReportFailure(config, shrink, repro_out);
+    return ReportFailure(config, *run, shrink, repro_out);
   }
 
   std::printf("join_fuzz: seed=%llu count=%lld%s\n",
@@ -193,7 +202,7 @@ int main(int argc, char** argv) {
       std::printf("config %lld (seed %llu):\n", static_cast<long long>(i),
                   static_cast<unsigned long long>(seed + i));
       PrintMismatch(config, *run);
-      return ReportFailure(config, shrink, repro_out);
+      return ReportFailure(config, *run, shrink, repro_out);
     }
     if ((i + 1) % 50 == 0) {
       std::printf("  %lld/%lld ok\n", static_cast<long long>(i + 1),
